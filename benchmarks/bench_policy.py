@@ -22,7 +22,7 @@ def test_policy_ab(benchmark, show, smoke):
     show(result)
     v = result.values
     assert v["failed"] == 0
-    # Warm-affinity routing must never *lose* to the legacy order on the
+    # Warm-affinity routing must never *lose* to the reactive order on the
     # identical sequence, at any scale.
     assert v["sticky_warm_delta"] >= 0.0
     assert v["prewarm_warm_delta"] >= 0.0

@@ -134,11 +134,14 @@ GATE
 # admission), then the A/B harness replaying one Zipf-skewed workload
 # under every policy.  The harness writes the scorecard
 # (BENCH_policy.json) on each run; the gate reads the emitted deltas:
-# warmth-ranked eviction must beat the legacy order by >=20 warm-hit
+# warmth-ranked eviction must beat the reactive order by >=20 warm-hit
 # points on the identical sequence, and fair-share admission must hold
 # the starved tenants' p99 queue wait within 3x their fair-share value
 # (the same burst with no hog tenant at all).
 echo "== serving-policy suites (cap ${FAULTS_CAP}s) =="
+# One scheduler path: every decision site asks the policy object; none
+# may branch on its absence again.
+if grep -nE 'policy is (not )?None' src/repro/engine/{scheduling,manager,router}.py; then echo "FAIL: a policy-is-None scheduler branch is back"; exit 1; fi
 timeout --signal=TERM --kill-after=30 "$FAULTS_CAP" \
     python -m pytest -x -q tests/test_engine_policies.py \
     tests/test_policy_predictor.py tests/test_policy_warmhit.py
@@ -252,7 +255,15 @@ timeout --signal=TERM --kill-after=30 "$BENCH_CAP" \
 # Catches import errors, API drift, and crashes across the whole suite.
 echo "== benchmark smoke, all experiments at tiny scale (cap ${SMOKE_CAP}s) =="
 timeout --signal=TERM --kill-after=30 "$SMOKE_CAP" \
-    env REPRO_BENCH_SMOKE=1 python -m pytest -q benchmarks/
+    env REPRO_BENCH_SMOKE=1 python -m pytest -q benchmarks/ \
+    --ignore=benchmarks/ladder
+
+# The ladder's own tests (runner statistics, open-loop generator) sit
+# outside tier-1 testpaths and have nothing to clamp, so they run once,
+# here, without the smoke switch.
+echo "== benchmark-ladder tests (cap ${SMOKE_CAP}s) =="
+timeout --signal=TERM --kill-after=30 "$SMOKE_CAP" \
+    python -m pytest -q benchmarks/ladder/test_ladder.py
 
 # Shared-memory hygiene: after every test, fault, chaos, and router
 # stage above no repro-pl-* segment may survive.  Segments are named

@@ -732,7 +732,7 @@ def _policy_sequence(steps: int) -> List[str]:
     arrival never hits the cold library already resident — each one is
     an unavoidable miss under *any* policy, and the arms differ purely
     in whether their victim ranking sacrifices a hot library to make
-    room.  The legacy victim order is instance age, and the cold slot
+    room.  The reactive victim order is instance age, and the cold slot
     churns fastest, so the hot instances are almost always the oldest
     residents: reactive keeps paying hot redeploys that warmth-ranked
     eviction provably never does.

@@ -175,9 +175,8 @@ class Manager:
         self.name = name
         self.transfer_mode = transfer_mode
         self.enable_library_eviction = enable_library_eviction
-        # Serving-layer scheduling strategy (repro.engine.policies).
-        # None (and REPRO_POLICY unset) keeps the legacy inline scheduler
-        # with zero per-decision policy overhead.
+        # Serving-layer scheduling strategy (repro.engine.policies);
+        # None (and REPRO_POLICY unset) is the paper's reactive scheduler.
         self.policy = resolve_policy(policy)
         if liveness_deadline is not None and liveness_deadline <= 0:
             raise EngineError("liveness_deadline must be positive or None")
@@ -219,15 +218,13 @@ class Manager:
         # preserves the historical mapping interface (stats["x"] += 1).
         self.metrics = MetricsRegistry()
         self.stats = StatsShim(self.metrics)
-        # policy.* instruments are maintained whether or not a policy is
-        # active, so the A/B harness reads warm-hit ratio the same way
+        # The A/B harness reads warm-hit ratio from these the same way
         # under the reactive baseline and under every strategy.
         self._policy_warm = self.metrics.counter("policy.warm_hits")
         self._policy_cold = self.metrics.counter("policy.cold_hits")
         self._policy_prewarms = self.metrics.counter("policy.prewarms")
         self._policy_prewarm_hits = self.metrics.counter("policy.prewarm_hits")
-        if self.policy is not None:
-            self.policy.bind(self.metrics)
+        self.policy.bind(self.metrics)
         # instance ids deployed speculatively by the prewarm tick; the
         # first invocation each one catches counts as a prewarm hit.
         self._prewarmed: Set[int] = set()
@@ -464,8 +461,7 @@ class Manager:
         self.state.enqueue(task)
         self.stats["submitted"] += 1
         if isinstance(task, FunctionCall):
-            if self.policy is not None:
-                self.policy.note_arrival(task.library_name, now, tenant=task.tenant)
+            self.policy.note_arrival(task.library_name, now, tenant=task.tenant)
             # The txnlog's task_submit stream doubles as the arrival
             # history the prewarm predictor can be seeded from offline
             # (repro.obs.arrivals), so invocations carry their context.
@@ -487,15 +483,6 @@ class Manager:
 
     def empty(self) -> bool:
         return self.state.empty() and not self._completed
-
-    # Back-compat views for callers (and tests) that predate ShardState.
-    @property
-    def _running(self) -> Dict[int, Task]:
-        return self.state.running
-
-    @property
-    def _ready_tasks(self) -> "Deque[PythonTask]":
-        return self.state.ready_tasks
 
     def wait(self, timeout: float = 5.0) -> Optional[Task]:
         """Advance the engine until a task completes or ``timeout`` passes."""
@@ -796,8 +783,8 @@ class Manager:
                     self._flush_link(ref)
         now = time.monotonic()
         if self.state.take_backoff_wakeup(now):
-            self._wake_all()  # backed-off tasks are redispatchable again
-        if self.policy is not None and now >= self._next_prewarm:
+            self.state.wake_all()  # backed-off tasks are redispatchable again
+        if now >= self._next_prewarm:
             self._next_prewarm = now + 0.2
             self._maybe_prewarm(now)
         # Liveness runs AFTER the event drain: a healthy worker always has
@@ -873,13 +860,9 @@ class Manager:
         self.perflog.transition("worker_join", worker=name)
         self.log.info("worker %s joined (%s)", name, resources)
         self._selector.register(conn.sock, selectors.EVENT_READ, ("worker", link))
-        self._wake_all()  # new capacity: every blocked queue is worth a visit
+        self.state.wake_all()  # new capacity: every blocked queue is worth a visit
 
     # -------------------------------------------------------------- dispatch
-    def _wake_all(self) -> None:
-        """Mark every non-empty queue dirty after a capacity-change event."""
-        self.state.wake_all()
-
     def _dispatch(self) -> None:
         if not self._workers:
             return
@@ -891,10 +874,7 @@ class Manager:
                 self.state.tasks_dirty = False
                 self._dispatch_task_queue()
             while self.state.dirty_libraries:
-                if self.policy is None:
-                    self._dispatch_library_queue(self.state.dirty_libraries.pop())
-                    continue
-                # Policy-ordered drain: the policy picks which dirty
+                # Policy-ordered drain: the policy may pick which dirty
                 # queue to serve (fair queueing picks the tenant with the
                 # smallest virtual finish) and may cap the visit with a
                 # quantum; a queue stopped by its quantum re-marks itself
@@ -914,10 +894,6 @@ class Manager:
         finally:
             self._flush_round()
 
-    def _note_backoff(self, not_before: float) -> None:
-        """Remember the earliest pending backoff expiry for _advance."""
-        self.state.note_backoff(not_before)
-
     def _dispatch_task_queue(self) -> None:
         """Try every queued PythonTask (they have heterogeneous resource
         asks, so a later task may fit where an earlier one did not)."""
@@ -928,7 +904,7 @@ class Manager:
             if task.state is not TaskState.SUBMITTED:
                 continue  # cancelled tombstone
             if task.not_before > now:
-                self._note_backoff(task.not_before)
+                self.state.note_backoff(task.not_before)
                 requeue.append(task)  # still backing off after a requeue
                 continue
             self.stats["queue_scan_len"] += 1
@@ -968,7 +944,7 @@ class Manager:
                 queue.popleft()  # cancelled tombstone
                 continue
             if head.not_before > now:
-                self._note_backoff(head.not_before)
+                self.state.note_backoff(head.not_before)
                 deferred.append(queue.popleft())
                 continue
             self.stats["queue_scan_len"] += 1
@@ -982,7 +958,7 @@ class Manager:
                 continue
             if warming_slots >= len(queue):
                 break  # instances already warming will cover the rest
-            if self.policy is not None and not self.policy.may_deploy(
+            if not self.policy.may_deploy(
                 library_name, library.resources, self.placement, self.state
             ):
                 # Admission control: this tenant is at its fair share
@@ -1340,12 +1316,11 @@ class Manager:
         task.worker = inst.worker
         dispatched_at = time.monotonic()
         task.mark("dispatched", dispatched_at)
-        if self.policy is not None:
-            self.policy.note_dispatch(task.library_name, inst.worker, dispatched_at)
-            self.policy.note_queue_wait(
-                task.tenant or task.library_name,
-                dispatched_at - task.timeline.get("submitted", dispatched_at),
-            )
+        self.policy.note_dispatch(task.library_name, inst.worker, dispatched_at)
+        self.policy.note_queue_wait(
+            task.tenant or task.library_name,
+            dispatched_at - task.timeline.get("submitted", dispatched_at),
+        )
         self.state.running[task.id] = task
         self.state.invocation_instance[task.id] = inst.instance_id
         self.stats["invocations_dispatched"] += 1
@@ -1380,7 +1355,6 @@ class Manager:
         prewarm grabbing a just-evicted slot would displace the very
         deploy the eviction was made for and churn the pool.
         """
-        assert self.policy is not None
         if any(self.state.pending_invocations.values()):
             return
         for name in self.policy.prewarm_candidates(
@@ -1528,7 +1502,7 @@ class Manager:
         )
         # A fresh idle instance: its own library gained slots, and every
         # other starving library gained an eviction candidate.
-        self._wake_all()
+        self.state.wake_all()
 
     def _on_library_failed(self, message: dict) -> None:
         instance_id = int(message["instance_id"])
@@ -1583,7 +1557,7 @@ class Manager:
                 t.mark("completed", time.monotonic())
                 self._completed.append(t)
             queue.clear()
-        self._wake_all()  # the failed instance's resources are free again
+        self.state.wake_all()  # the failed instance's resources are free again
 
     def _on_library_removed(self, message: dict) -> None:
         instance_id = int(message["instance_id"])
@@ -1615,7 +1589,7 @@ class Manager:
             self.placement.remove_library(record.instance.worker, instance_id)
         except Exception:
             pass
-        self._wake_all()  # reclaimed resources may unblock any queue
+        self.state.wake_all()  # reclaimed resources may unblock any queue
 
     def _finish_bookkeeping(self, task: Task) -> None:
         self._unpin_task_payload(task)
@@ -1630,12 +1604,12 @@ class Manager:
                     # ...but a now-idle instance is an eviction candidate
                     # for every other blocked queue.
                     if record.instance.used_slots == 0:
-                        self._wake_all()
+                        self.state.wake_all()
         elif isinstance(task, PythonTask):
             worker = self.state.task_worker_key.pop(task.id, None)
             if worker is not None and worker in self.placement.workers:
                 self.placement.finish_task(worker, task.resources)
-            self._wake_all()  # released worker resources may fit anything
+            self.state.wake_all()  # released worker resources may fit anything
 
     def _on_result(self, message: dict, payload: bytes) -> None:
         task_id = int(message["task_id"])
@@ -1824,8 +1798,8 @@ class Manager:
         self.log.warning("lost worker %s", link.name)
         # Requeue the worker's in-flight work BEFORE any placement-state
         # check: even if the placement entry is gone (double loss or a
-        # registration race), _running/_invocation_instance/
-        # _task_worker_key entries must never leak.
+        # registration race), the shard state's running/
+        # invocation_instance/task_worker_key entries must never leak.
         lost_instances = {
             iid
             for iid, rec in self._instances.items()
@@ -1857,7 +1831,7 @@ class Manager:
         self._requeue_task(task, blame=blame)
 
     def _requeue_task(self, task: Task, blame: Optional[str]) -> None:
-        """Give a task (already removed from ``_running``) another try.
+        """Give a task (already removed from ``state.running``) another try.
 
         Each requeue spends one unit of the task's retry budget, records
         ``blame`` (the worker it was lost on — never redispatched there),
@@ -1892,7 +1866,7 @@ class Manager:
                 self.retry_backoff_max,
             )
             task.not_before = time.monotonic() + backoff
-            self._note_backoff(task.not_before)
+            self.state.note_backoff(task.not_before)
         task.state = TaskState.SUBMITTED
         self.state.enqueue(task, front=True)
         self.stats["requeued"] += 1

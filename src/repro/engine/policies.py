@@ -1,14 +1,14 @@
 """Pluggable serving-layer scheduling policies.
 
-The paper's scheduler (and ours, through PR 8) is purely *reactive*: a
-library is installed on whichever worker its first invocation lands on,
-invocations fill instances in deployment order, and the empty-library
-eviction of §3.5.2 reclaims whichever idle instance happens to be first
-in the bookkeeping tables.  That is correct but leaves the serving-layer
-wins on the table that a millions-of-users deployment needs (ROADMAP
-item 3): keeping a function's invocations on workers that are already
-warm for it, pre-staging libraries ahead of forecast demand, and keeping
-one hot tenant from starving everyone else.
+The paper's scheduler is purely *reactive*: a library is installed on
+whichever worker its first invocation lands on, invocations fill
+instances in deployment order, and the empty-library eviction of §3.5.2
+reclaims whichever idle instance happens to be first in the bookkeeping
+tables.  That is the base :class:`SchedulingPolicy` and the default.  It
+is correct but leaves the serving-layer wins on the table that a
+millions-of-users deployment needs: keeping a function's invocations on
+workers that are already warm for it, pre-staging libraries ahead of
+forecast demand, and keeping one hot tenant from starving everyone else.
 
 This module is the strategy layer behind :class:`~repro.engine.scheduling.Placement`
 and the manager's dispatch loop.  A policy never mutates placement state
@@ -23,11 +23,10 @@ retry back onto a blamed worker.
 Policies
 --------
 
-``reactive``
-    The explicit twin of the built-in behavior.  ``Manager(policy=None)``
-    (the default) keeps the legacy inline code path; ``policy="reactive"``
-    routes through this class and is **decision-for-decision identical**
-    — a property pinned by the decision-trace equality test in
+``reactive`` (the default)
+    The paper's scheduler, :class:`SchedulingPolicy` itself: ring-walk
+    placement, deployment-order instance fill, first-idle eviction.  Its
+    rules are pinned directly by the property test in
     ``tests/test_engine_policies.py``.
 
 ``sticky``
@@ -57,9 +56,10 @@ Policies
 
 Selection: ``Manager(policy=...)`` / ``Router(policy=...)`` accept a
 policy name or instance; the ``REPRO_POLICY`` environment variable sets
-the default for both (and is inherited by shard subprocesses).
+the default for both (and is inherited by shard subprocesses); with
+neither, the policy is ``reactive``.
 
-Metrics: every policy-aware manager exports ``policy.*`` instruments —
+Metrics: every manager exports ``policy.*`` instruments —
 ``policy.warm_hits`` / ``policy.cold_hits`` (warm-hit ratio),
 ``policy.prewarms`` / ``policy.prewarm_hits`` (prewarm precision), and a
 ``policy.queue_wait.<tenant>`` histogram per tenant (admission-control
@@ -406,18 +406,6 @@ class SchedulingPolicy:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class ReactivePolicy(SchedulingPolicy):
-    """The legacy scheduler as an explicit, swappable object.
-
-    Exists so ``REPRO_POLICY=reactive`` exercises the policy plumbing
-    while remaining decision-for-decision identical to the built-in
-    (``policy=None``) fast path — the equality pinned by the recorded
-    decision-trace test.
-    """
-
-    name = "reactive"
-
-
 class StickyPolicy(SchedulingPolicy):
     """Affinity routing: route to warmth, evict coldness.
 
@@ -686,34 +674,29 @@ class FairSharePolicy(SchedulingPolicy):
 # Selection
 # --------------------------------------------------------------------------
 POLICIES: Dict[str, Any] = {
-    "reactive": ReactivePolicy,
+    "reactive": SchedulingPolicy,
     "sticky": StickyPolicy,
     "prewarm": PrewarmPolicy,
     "fair": FairSharePolicy,
 }
 
 
-def resolve_policy(
-    spec: "str | SchedulingPolicy | None",
-) -> Optional[SchedulingPolicy]:
+def resolve_policy(spec: "str | SchedulingPolicy | None") -> SchedulingPolicy:
     """Turn a config value into a policy instance.
 
-    ``None`` consults ``REPRO_POLICY``; an unset/empty/``default`` value
-    returns ``None`` — the legacy inline scheduler, with zero policy
-    overhead on the hot path.  Instances pass through, names look up
+    ``None`` consults ``REPRO_POLICY``; unset or empty means
+    ``reactive``.  Instances pass through, names look up
     :data:`POLICIES`.
     """
     if spec is None:
         spec = os.environ.get("REPRO_POLICY", "").strip()
     if isinstance(spec, SchedulingPolicy):
         return spec
-    if not spec or spec.lower() == "default":
-        return None
     try:
-        factory = POLICIES[spec.lower()]
+        factory = POLICIES[spec.lower() or "reactive"]
     except KeyError:
         raise SchedulingError(
             f"unknown scheduling policy {spec!r}; choose from "
-            f"{sorted(POLICIES)} (or unset REPRO_POLICY for the default)"
+            f"{sorted(POLICIES)} (or unset REPRO_POLICY for reactive)"
         ) from None
     return factory()

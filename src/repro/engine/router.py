@@ -153,6 +153,11 @@ class Router:
     The router holds no scheduling state of its own — queues, placement,
     and payload pins all live shard-side — only the authoritative Task
     objects, the library records, and the ring.
+
+    Shards are started by policy *name* (``--policy <name>``), so the
+    constructor parameters of a policy instance passed as ``policy``
+    govern the router tier only; each shard builds its own instance with
+    that policy's defaults.
     """
 
     def __init__(
@@ -305,8 +310,7 @@ class Router:
             ]
             if not self.library_eviction:
                 cmd.append("--no-library-eviction")
-            if self.policy is not None:
-                cmd.extend(["--policy", self.policy.name])
+            cmd.extend(["--policy", self.policy.name])
             procs.append(
                 (name, subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
             )
@@ -566,17 +570,13 @@ class Router:
             for name in self.ring.walk(f"task-{task.id}")
             if name in self._shards
         ]
-        if self.policy is not None and candidates:
-            # Shard-level sticky affinity: prefer the shard that last
-            # completed this function (its workers hold the warm context
-            # and cached code blob).  The blame filter below still runs
-            # after the policy, so a retry never lands on a blamed shard
-            # while an unblamed one is alive.
-            candidates = list(
-                self.policy.shard_order(self._affinity_key(task), candidates)
-            )
+        # Shard-level affinity: sticky prefers the shard that last
+        # completed this function (its workers hold the warm context and
+        # cached code blob).  The blame filter below still runs after
+        # the policy, so a retry never lands on a blamed shard while an
+        # unblamed one is alive.
         fallback = None
-        for name in candidates:
+        for name in self.policy.shard_order(self._affinity_key(task), candidates):
             if fallback is None:
                 fallback = name
             if name not in blamed:
@@ -779,11 +779,7 @@ class Router:
         else:
             task.set_result(outcome.get("value"))
             self.stats["completed"] += 1
-            if (
-                self.policy is not None
-                and shard is not None
-                and isinstance(task, PythonTask)
-            ):
+            if shard is not None and isinstance(task, PythonTask):
                 self.policy.note_shard_result(self._affinity_key(task), shard)
         for event, t in outcome.get("timeline", {}).items():
             task.timeline.setdefault(event, t)

@@ -32,6 +32,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.engine.policies import SchedulingPolicy
 from repro.engine.resources import ResourcePool, Resources
 from repro.errors import SchedulingError
 from repro.obs.trace import NULL_TRACER
@@ -152,36 +153,25 @@ class WorkerSlot:
 class Placement:
     """Cluster-wide placement state and decisions.
 
-    ``policy`` is an optional :class:`repro.engine.policies.SchedulingPolicy`
-    that *orders candidates* for every decision below; ``None`` keeps the
-    legacy inline ordering with zero per-decision overhead.  Either way
-    the commit logic — resource accounting, blame-set filtering, index
-    maintenance — lives here, so a policy can only reorder work, never
-    corrupt state.  ``record_decisions=True`` appends every decision to
-    ``decision_log`` as ``(kind, key, outcome)`` tuples; the equality
-    test replays one operation sequence through the legacy path and
-    through ``ReactivePolicy`` and asserts the logs match byte for byte.
+    ``policy`` is the :class:`repro.engine.policies.SchedulingPolicy`
+    that *orders candidates* for every decision below (``None`` means
+    the reactive base policy).  The commit logic — resource accounting,
+    blame-set filtering, index maintenance — lives here, so a policy can
+    only reorder work, never corrupt state.
     """
 
-    def __init__(self, tracer=None, policy=None, record_decisions: bool = False) -> None:
+    def __init__(self, tracer=None, policy=None) -> None:
         self.ring = HashRing()
         self.workers: Dict[str, WorkerSlot] = {}
         # Placement decisions are traced (library_place/library_remove);
         # the owning manager swaps in its tracer after construction.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.policy = policy
-        self.decision_log: Optional[List[Tuple[str, str, object]]] = (
-            [] if record_decisions else None
-        )
+        self.policy = policy or SchedulingPolicy()
         self._next_instance = 1
         # library name -> {instance_id: instance} for every ready instance
         # with free_slots > 0.  Kept exact on every transition so
         # find_invocation_slot is O(1) instead of O(workers × instances).
         self._free_slots: Dict[str, Dict[int, LibraryInstance]] = {}
-
-    def _decide(self, kind: str, key: str, outcome) -> None:
-        if self.decision_log is not None:
-            self.decision_log.append((kind, key, outcome))
 
     # -- free-slot index ---------------------------------------------------
     def _reindex(self, inst: LibraryInstance) -> None:
@@ -229,13 +219,7 @@ class Placement:
 
         Returns (worker, instance_id) or ``None`` when nothing fits.
         """
-        if self.policy is None:
-            candidates: Iterable[str] = self.ring.walk(library_name)
-        else:
-            candidates = self.policy.library_worker_order(
-                self, library_name, resources
-            )
-        for wname in candidates:
+        for wname in self.policy.library_worker_order(self, library_name, resources):
             slot = self.workers.get(wname)
             if slot is None:
                 continue
@@ -257,9 +241,7 @@ class Placement:
                     instance=iid,
                     slots=slots,
                 )
-                self._decide("library", library_name, wname)
                 return wname, iid
-        self._decide("library", library_name, None)
         return None
 
     def library_ready(self, worker: str, instance_id: int) -> None:
@@ -305,42 +287,24 @@ class Placement:
     ) -> Optional[LibraryInstance]:
         """A ready instance of ``library_name`` with a free slot.
 
-        O(1): peeks the per-library free-slot index (FIFO by readiness,
-        so instances fill in deployment order) instead of walking the
-        ring and every worker's instance table.  ``exclude`` names
-        workers to skip — the retry path's blame set, so a task is never
-        redispatched to a worker it was just lost on; only retried tasks
-        pay the O(free instances) filtered scan.  A policy may reorder
-        the free instances (sticky packs onto the warmest), but the
-        blame filter is applied *after* the policy has spoken, so no
+        Reads the per-library free-slot index (FIFO by when an instance
+        last gained a free slot) instead of walking the ring and every
+        worker's instance table; the policy orders it — reactive keeps
+        index order, so instances fill in deployment order at O(1);
+        sticky packs onto the warmest.
+        ``exclude`` names workers to skip — the retry path's blame set,
+        so a task is never redispatched to a worker it was just lost on.
+        The blame filter is applied *after* the policy has spoken, so no
         policy can route a retry back onto a blamed worker.
         """
         bucket = self._free_slots.get(library_name)
         if not bucket:
-            self._decide("instance", library_name, None)
             return None
-        chosen: Optional[LibraryInstance] = None
-        if self.policy is None:
-            if not exclude:
-                chosen = next(iter(bucket.values()))
-            else:
-                banned = set(exclude)
-                for inst in bucket.values():
-                    if inst.worker not in banned:
-                        chosen = inst
-                        break
-        else:
-            banned = set(exclude) if exclude else None
-            for inst in self.policy.instance_order(
-                self, library_name, bucket.values()
-            ):
-                if banned is None or inst.worker not in banned:
-                    chosen = inst
-                    break
-        self._decide(
-            "instance", library_name, None if chosen is None else chosen.instance_id
-        )
-        return chosen
+        banned = set(exclude) if exclude else ()
+        for inst in self.policy.instance_order(self, library_name, bucket.values()):
+            if inst.worker not in banned:
+                return inst
+        return None
 
     def find_evictable_library(
         self, library_name: Optional[str], *, now: float = 0.0
@@ -354,12 +318,12 @@ class Placement:
         when scheduling a regular task (``library_name=None``) any idle
         library may be reclaimed.
 
-        Without a policy the victim is the first idle instance in table
-        order (deployment order — the legacy behavior).  With one, the
-        policy ranks the candidates: sticky/prewarm evict the *coldest*
-        instance and defer libraries with recent or forecast-imminent
-        arrivals, but always concede someone, so reclamation can defer a
-        warm library yet never wedge the requester.
+        The policy ranks the candidates: reactive takes the first in
+        worker-then-instance table order; sticky/prewarm evict the
+        *coldest* instance and defer libraries with recent or
+        forecast-imminent arrivals, but always concede someone, so
+        reclamation can defer a warm library yet never wedge the
+        requester.
         """
         candidates = [
             inst
@@ -371,18 +335,8 @@ class Placement:
             and not inst.removing
         ]
         if not candidates:
-            self._decide("victim", library_name or "", None)
             return None
-        if self.policy is None:
-            victim: Optional[LibraryInstance] = candidates[0]
-        else:
-            victim = self.policy.select_victim(self, candidates, now)
-        self._decide(
-            "victim",
-            library_name or "",
-            None if victim is None else victim.instance_id,
-        )
-        return victim
+        return self.policy.select_victim(self, candidates, now)
 
     def start_invocation(self, inst: LibraryInstance) -> None:
         if inst.free_slots <= 0:
@@ -411,11 +365,7 @@ class Placement:
         place a retry on a blamed worker.
         """
         banned = set(exclude) if exclude else ()
-        if self.policy is None:
-            candidates: Iterable[str] = self.ring.walk(key)
-        else:
-            candidates = self.policy.task_worker_order(self, key, resources)
-        for wname in candidates:
+        for wname in self.policy.task_worker_order(self, key, resources):
             if wname in banned:
                 continue
             slot = self.workers.get(wname)
@@ -424,9 +374,7 @@ class Placement:
             if slot.pool.can_allocate(resources):
                 slot.pool.allocate(resources)
                 slot.running_tasks += 1
-                self._decide("task", key, wname)
                 return wname
-        self._decide("task", key, None)
         return None
 
     def finish_task(self, worker: str, resources: Resources) -> None:

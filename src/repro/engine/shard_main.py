@@ -470,7 +470,7 @@ def main(argv=None) -> int:
         "--policy",
         default="",
         help="scheduling policy name for this shard's manager "
-        "(reactive/sticky/prewarm/fair; empty = legacy default)",
+        "(reactive/sticky/prewarm/fair; empty = REPRO_POLICY, else reactive)",
     )
     parser.add_argument(
         "--index",

@@ -94,10 +94,10 @@ class SimManager:
         # arrival history forecasts imminent demand.  "fair" has no
         # meaning without tenants, so the sim treats it as reactive.
         name = (policy or "reactive").lower()
-        if name == "default":
-            name = "reactive"
         if name not in POLICIES:
-            raise SimulationError(f"unknown scheduling policy {policy!r}")
+            raise SimulationError(
+                f"unknown scheduling policy {policy!r}; choose from {sorted(POLICIES)}"
+            )
         self.policy = name
         self._arrivals = ArrivalHistory() if name == "prewarm" else None
         workload.validate()

@@ -512,14 +512,14 @@ def test_requeue_count_never_exceeds_budget(max_retries, n_tasks, losses):
             task = tasks[pick % n_tasks]
             if task.state is TaskState.FAILED:
                 continue  # already exhausted; a real loss can't touch it
-            if task.id not in manager._running:
+            if task.id not in manager.state.running:
                 # Simulate (re)dispatch of a queued task before the loss.
                 try:
-                    manager._ready_tasks.remove(task)
+                    manager.state.ready_tasks.remove(task)
                 except ValueError:
                     pass
                 task.state = TaskState.DISPATCHED
-                manager._running[task.id] = task
+                manager.state.running[task.id] = task
             manager._requeue(task.id, blame=f"w{event}")
         assert manager.stats["requeued"] <= max_retries * n_tasks
         for task in tasks:
@@ -529,7 +529,7 @@ def test_requeue_count_never_exceeds_budget(max_retries, n_tasks, losses):
                 assert isinstance(task.exception, TaskRetryExhausted)
                 assert len(task.exception.losses) == task.retries
         # An exhausted task never lingers in the ready queue.
-        assert all(t.state is not TaskState.FAILED for t in manager._ready_tasks)
+        assert all(t.state is not TaskState.FAILED for t in manager.state.ready_tasks)
 
 
 # -- fault-schedule determinism ---------------------------------------------

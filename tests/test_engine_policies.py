@@ -10,22 +10,24 @@ Three properties from the issue are pinned with hypothesis:
     yields while any tenant has queued work), never reorders one
     tenant's items, and backlogged tenants receive service within the
     SFQ fairness bound of their weight ratio;
-(c) *reactive equality* — ``policy="reactive"`` makes byte-for-byte the
-    same placement decisions as the legacy ``policy=None`` scheduler on
-    any recorded operation sequence.
+(c) *reactive rules* — under the default policy every placement
+    decision on any operation sequence is the paper's: ring-walk first
+    fit, the instance that has had a free slot longest, first idle
+    instance in table order.
 """
 
 import collections
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.engine import FunctionCall, LocalWorkerFactory, Manager
 from repro.engine.cache import WorkerCache
 from repro.engine.policies import (
     ArrivalHistory,
     FairSharePolicy,
     PrewarmPolicy,
-    ReactivePolicy,
+    SchedulingPolicy,
     StickyPolicy,
     WeightedFairQueue,
     resolve_policy,
@@ -36,8 +38,8 @@ from repro.errors import SchedulingError
 
 
 # ----------------------------------------------------------------- helpers
-def make_placement(n=3, cores=4, policy=None, record=False):
-    p = Placement(policy=policy, record_decisions=record)
+def make_placement(n=3, cores=4, policy=None):
+    p = Placement(policy=policy)
     for i in range(n):
         p.add_worker(f"w{i}", Resources(cores=cores, memory=100, disk=100))
     return p
@@ -190,66 +192,131 @@ def test_wfq_rejects_nonpositive_weight_and_cost():
 
 
 # =======================================================================
-# (c) reactive policy is decision-identical to the legacy scheduler
+# (c) the default policy makes the paper's decisions
 # =======================================================================
 op_strategy = st.lists(
     st.one_of(
         st.tuples(
             st.just("lib"), st.integers(0, 3), st.integers(1, 2), st.integers(1, 2)
         ),
-        st.tuples(st.just("slot"), st.integers(0, 3)),
+        st.tuples(st.just("slot"), st.integers(0, 3), st.sets(st.integers(0, 3))),
         st.tuples(st.just("finish"), st.integers(0, 50)),
         st.tuples(st.just("victim"), st.integers(0, 4)),
-        st.tuples(st.just("task"), st.integers(0, 5), st.integers(1, 2)),
+        st.tuples(
+            st.just("task"),
+            st.integers(0, 5),
+            st.integers(1, 2),
+            st.sets(st.integers(0, 3)),
+        ),
         st.tuples(st.just("task_done"), st.integers(0, 50)),
     ),
     max_size=40,
 )
 
 
+def _first_fit(placement, key, resources, exclude=()):
+    """The paper's placement rule, from state read before the call."""
+    for wname in placement.ring.walk(key):
+        if wname not in exclude and placement.workers[wname].pool.can_allocate(
+            resources
+        ):
+            return wname
+    return None
+
+
 def _replay(placement, ops):
-    """Drive one operation sequence; return the recorded decision log."""
+    """Drive one operation sequence, asserting the reactive rule on each
+    decision's return value from state read *before* the call."""
     libs = [f"lib{i}" for i in range(4)]
+    # Live instances with a free slot, in the order they last gained one
+    # (became ready, or finished an invocation while full): instances
+    # fill in deployment order until one fills up and frees again.
+    free = []
     started = []
     running = []
     for op in ops:
         kind = op[0]
         if kind == "lib":
             _, li, slots, cores = op
-            placed = placement.place_library(libs[li], slots, Resources(cores=cores))
+            res = Resources(cores=cores)
+            want = _first_fit(placement, libs[li], res)
+            placed = placement.place_library(libs[li], slots, res)
+            assert (placed[0] if placed else None) == want
             if placed is not None:
                 placement.library_ready(*placed)
+                free.append(placement.workers[placed[0]].libraries[placed[1]])
         elif kind == "slot":
-            inst = placement.find_invocation_slot(libs[op[1]])
+            blame = {f"w{i}" for i in op[2]}
+            want = next(
+                (
+                    inst
+                    for inst in free
+                    if inst.library_name == libs[op[1]]
+                    and inst.worker not in blame
+                ),
+                None,
+            )
+            inst = placement.find_invocation_slot(libs[op[1]], exclude=blame)
+            assert inst is want
             if inst is not None:
                 placement.start_invocation(inst)
                 started.append(inst)
+                if inst.free_slots == 0:
+                    free.remove(inst)
         elif kind == "finish":
             if started:
-                placement.finish_invocation(started.pop(op[1] % len(started)))
+                inst = started.pop(op[1] % len(started))
+                placement.finish_invocation(inst)
+                if inst not in free:
+                    free.append(inst)
         elif kind == "victim":
             name = libs[op[1]] if op[1] < len(libs) else None
+            want = next(
+                (
+                    inst
+                    for slot in placement.workers.values()
+                    for inst in slot.libraries.values()
+                    if inst.library_name != name
+                    and inst.ready
+                    and inst.idle
+                    and not inst.removing
+                ),
+                None,
+            )
             victim = placement.find_evictable_library(name)
+            assert victim is want
             if victim is not None:
                 placement.remove_library(victim.worker, victim.instance_id)
+                free.remove(victim)
         elif kind == "task":
-            _, key, cores = op
+            _, key, cores, blamed = op
             res = Resources(cores=cores)
-            worker = placement.place_task(f"key{key}", res)
+            blame = {f"w{i}" for i in blamed}
+            want = _first_fit(placement, f"key{key}", res, blame)
+            worker = placement.place_task(f"key{key}", res, exclude=blame)
+            assert worker == want
             if worker is not None:
                 running.append((worker, res))
         elif kind == "task_done":
             if running:
                 placement.finish_task(*running.pop(op[1] % len(running)))
-    return placement.decision_log
 
 
 @settings(deadline=None, max_examples=60)
 @given(nworkers=st.integers(1, 4), cores=st.integers(1, 4), ops=op_strategy)
-def test_reactive_decisions_identical_to_legacy(nworkers, cores, ops):
-    legacy = make_placement(nworkers, cores, policy=None, record=True)
-    reactive = make_placement(nworkers, cores, policy=ReactivePolicy(), record=True)
-    assert _replay(legacy, ops) == _replay(reactive, ops)
+@example(  # a refilled instance queues behind one that stayed free
+    nworkers=1,
+    cores=4,
+    ops=[
+        ("lib", 0, 1, 1),
+        ("lib", 0, 1, 1),
+        ("slot", 0, set()),
+        ("finish", 0),
+        ("slot", 0, set()),
+    ],
+)
+def test_default_policy_decisions_follow_paper_rules(nworkers, cores, ops):
+    _replay(make_placement(nworkers, cores), ops)
 
 
 # =======================================================================
@@ -265,7 +332,7 @@ def test_sticky_prefers_warmest_instance():
     warm.total_served = 5
     inst = p.find_invocation_slot("lib")
     assert inst is warm
-    # Legacy order would have picked the first-deployed (cold) instance.
+    # Reactive order would have picked the first-deployed (cold) instance.
     assert cold.total_served == 0
 
 
@@ -451,9 +518,11 @@ def test_cache_retain_is_advisory_never_wedges(tmp_path):
 # =======================================================================
 def test_resolve_policy_names_instances_and_env(monkeypatch):
     monkeypatch.delenv("REPRO_POLICY", raising=False)
-    assert resolve_policy(None) is None
-    assert resolve_policy("") is None
-    assert resolve_policy("default") is None
+    for unset in (None, ""):
+        policy = resolve_policy(unset)
+        assert type(policy) is SchedulingPolicy and policy.name == "reactive"
+    with pytest.raises(SchedulingError, match="reactive.*sticky"):
+        resolve_policy("default")
     assert isinstance(resolve_policy("sticky"), StickyPolicy)
     custom = PrewarmPolicy()
     assert resolve_policy(custom) is custom
@@ -461,6 +530,26 @@ def test_resolve_policy_names_instances_and_env(monkeypatch):
     assert isinstance(resolve_policy(None), FairSharePolicy)
     with pytest.raises(SchedulingError):
         resolve_policy("no-such-policy")
+
+
+def _ident(x):
+    return x
+
+
+def test_default_manager_is_reactive_and_exports_queue_wait(monkeypatch):
+    monkeypatch.delenv("REPRO_POLICY", raising=False)
+    with Manager() as manager:
+        assert manager.policy.name == "reactive"
+        assert manager.placement.policy is manager.policy
+        manager.install_library(
+            manager.create_library_from_functions("lib", _ident, function_slots=1)
+        )
+        with LocalWorkerFactory(manager, count=1, cores=1):
+            call = FunctionCall("lib", "_ident", 7)
+            manager.submit(call)
+            manager.wait_all([call], timeout=120.0)
+        assert call.result == 7
+        assert manager.metrics.histograms["policy.queue_wait.lib"].count == 1
 
 
 def test_arrival_history_staleness_and_rate():

@@ -51,6 +51,9 @@ def test_router_spawns_registered_shards(router):
         link = router._shards[name]
         assert link.pid is not None
         assert link.blob_port is not None
+        # Shards are started by policy name; the default is reactive.
+        args = link.proc.args
+        assert args[args.index("--policy") + 1] == router.policy.name == "reactive"
 
 
 def test_python_task_round_trip(router):

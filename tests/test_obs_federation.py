@@ -149,8 +149,11 @@ def test_shard_loss_retry_keeps_both_attempts_in_one_trace():
             )
             r.install_library(library)
             home = r._libraries["loss-trace-lib"].home
+            # Two rounds of 1.5 s on the two slots: the kill below keys
+            # off the shard's status frames, which are >= 1 s apart, so
+            # the work must outlast that gap or no frame ever shows it.
             calls = [
-                FunctionCall("loss-trace-lib", "_nap", i, 0.3) for i in range(4)
+                FunctionCall("loss-trace-lib", "_nap", i, 1.5) for i in range(4)
             ]
             for call in calls:
                 r.submit(call)

@@ -204,8 +204,9 @@ def test_sim_accepts_every_policy_name():
 def test_sim_rejects_unknown_policy():
     wl = lnni_workload(10)
     fleet = build_fleet(2, seed=0)
-    with pytest.raises(SimulationError):
-        SimManager(wl, fleet, lnni_cost_model(), ReuseLevel.L3, policy="bogus")
+    for bad in ("bogus", "default"):
+        with pytest.raises(SimulationError, match="reactive.*sticky"):
+            SimManager(wl, fleet, lnni_cost_model(), ReuseLevel.L3, policy=bad)
 
 
 def test_sim_sticky_policy_concentrates_service():
