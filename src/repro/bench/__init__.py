@@ -13,22 +13,15 @@ from repro.bench.experiments import (
     ablation_sim_distribution,
     ablation_transfer_modes,
     chaos_smoke,
-    dispatch_throughput,
     fig6_execution_times,
     fig7_histograms,
     fig8_invocation_length_sweep,
     fig9_worker_sweep,
     extension_examol_l3,
-    federation_overhead,
-    payload_plane,
-    policy_ab,
-    shard_throughput,
-    slo_scorecard,
     fig10_11_library_curves,
     table2_overhead,
     table4_runtime_stats,
     table5_overhead_breakdown,
-    telemetry_workload,
     trace_workload,
 )
 
@@ -36,12 +29,6 @@ __all__ = [
     "TableResult",
     "format_table",
     "chaos_smoke",
-    "dispatch_throughput",
-    "federation_overhead",
-    "payload_plane",
-    "policy_ab",
-    "shard_throughput",
-    "slo_scorecard",
     "table2_overhead",
     "table4_runtime_stats",
     "table5_overhead_breakdown",
@@ -54,6 +41,5 @@ __all__ = [
     "ablation_library_slots",
     "ablation_sim_distribution",
     "extension_examol_l3",
-    "telemetry_workload",
     "trace_workload",
 ]

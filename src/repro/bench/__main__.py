@@ -6,7 +6,6 @@ Regenerates the paper's tables and figures from the command line::
     python -m repro.bench fig6 table4
     python -m repro.bench all --quick
     python -m repro.bench trace --out /tmp/trace.json
-    python -m repro.bench slo
 
 ``--quick`` shrinks the LNNI workload to 10k invocations (the full 100k
 runs take ~10s each on the simulator; real-engine experiments always use
@@ -23,10 +22,6 @@ from typing import Callable, Dict
 from repro.bench import experiments
 
 EXPERIMENTS: Dict[str, Callable[..., object]] = {
-    "dispatch": lambda n: experiments.dispatch_throughput(),
-    "payload": lambda n: experiments.payload_plane(),
-    "shard": lambda n: experiments.shard_throughput(),
-    "policy": lambda n: experiments.policy_ab(),
     "chaos": lambda n: experiments.chaos_smoke(),
     "table2": lambda n: experiments.table2_overhead(),
     "fig6": lambda n: experiments.fig6_execution_times(lnni_invocations=n),
@@ -42,13 +37,10 @@ EXPERIMENTS: Dict[str, Callable[..., object]] = {
     "extension_examol_l3": lambda n: experiments.extension_examol_l3(),
 }
 
-# ``trace``, ``telemetry``, and ``slo`` are not part of "all": they
-# drive the real engine with observability features enabled (and write
-# files — a Chrome trace, BENCH_slo.json), so they only run when asked
+# ``trace`` is not part of "all": it drives the real engine with tracing
+# enabled and writes a file (a Chrome trace), so it only runs when asked
 # for by name.
 TRACE_EXPERIMENT = "trace"
-TELEMETRY_EXPERIMENT = "telemetry"
-SLO_EXPERIMENT = "slo"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -70,20 +62,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.list:
-        for name in [
-            *EXPERIMENTS,
-            TRACE_EXPERIMENT,
-            TELEMETRY_EXPERIMENT,
-            SLO_EXPERIMENT,
-        ]:
+        for name in [*EXPERIMENTS, TRACE_EXPERIMENT]:
             print(name)
         return 0
     chosen = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     unknown = [
-        c
-        for c in chosen
-        if c not in EXPERIMENTS
-        and c not in (TRACE_EXPERIMENT, TELEMETRY_EXPERIMENT, SLO_EXPERIMENT)
+        c for c in chosen if c not in EXPERIMENTS and c != TRACE_EXPERIMENT
     ]
     if unknown:
         parser.error(f"unknown experiments: {unknown}; use --list")
@@ -92,10 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         started = time.monotonic()
         if name == TRACE_EXPERIMENT:
             result = experiments.trace_workload(out_path=args.out)
-        elif name == TELEMETRY_EXPERIMENT:
-            result = experiments.telemetry_workload()
-        elif name == SLO_EXPERIMENT:
-            result = experiments.slo_scorecard()
         else:
             result = EXPERIMENTS[name](n)
         elapsed = time.monotonic() - started

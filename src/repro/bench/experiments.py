@@ -18,10 +18,7 @@ from repro.distribute.broadcast import broadcast_makespan
 from repro.distribute.topology import TransferMode, uniform_topology
 from repro.engine.factory import LocalWorkerFactory
 from repro.engine.manager import Manager
-from repro.engine import payloads as payload_store
-from repro.engine.router import Router
 from repro.engine.task import ExecMode, FunctionCall, PythonTask, TaskState
-from repro.errors import EngineError
 from repro.sim.calibration import ReuseLevel, examol_cost_model, lnni_cost_model
 from repro.sim.runner import run_examol, run_lnni
 from repro.sim.trace import RunResult
@@ -154,453 +151,6 @@ def table2_overhead(n_invocations: int | None = None) -> TableResult:
     )
 
 
-# --------------------------------------------------- dispatch throughput
-def _bench_noop(x):
-    return x
-
-
-def dispatch_throughput(
-    n_invocations: int | None = None,
-    workers: int = 4,
-    *,
-    cores: int = 4,
-    function_slots: int = 4,
-) -> TableResult:
-    """Manager dispatch throughput: N trivial invocations, 1 manager + k workers.
-
-    The regression guard for the indexed-scheduling/batched-dispatch hot
-    path (DESIGN.md §5: the manager's serial per-invocation cost *is* the
-    100k-scale bottleneck).  Reports end-to-end invocations/s, the
-    per-invocation manager overhead, and the new ``Manager.stats``
-    dispatch counters; ``scan_per_round`` staying O(slots), independent
-    of the queue length, is the visible sign that dispatch work no
-    longer scales with queued-but-unplaceable invocations.
-    """
-    n = _cap(n_invocations or (5000 if _FULL else 800))
-    with Manager() as manager:
-        library = manager.create_library_from_functions(
-            "dispatch-bench", _bench_noop, function_slots=function_slots
-        )
-        manager.install_library(library)
-        with LocalWorkerFactory(manager, count=workers, cores=cores):
-            warmup = [
-                FunctionCall("dispatch-bench", "_bench_noop", i)
-                for i in range(workers * function_slots)
-            ]
-            for call in warmup:
-                manager.submit(call)
-            manager.wait_all(warmup, timeout=300.0)
-            base = {k: manager.stats.get(k, 0.0) for k in (
-                "dispatch_rounds", "queue_scan_len", "batched_invocations",
-            )}
-            started = time.monotonic()
-            calls = [
-                FunctionCall("dispatch-bench", "_bench_noop", i) for i in range(n)
-            ]
-            for call in calls:
-                manager.submit(call)
-            manager.wait_all(calls, timeout=max(600.0, 0.5 * n))
-            total = time.monotonic() - started
-            failed = sum(1 for c in calls if c.exception is not None)
-            rounds = manager.stats.get("dispatch_rounds", 0.0) - base["dispatch_rounds"]
-            scans = manager.stats.get("queue_scan_len", 0.0) - base["queue_scan_len"]
-            batched = (
-                manager.stats.get("batched_invocations", 0.0)
-                - base["batched_invocations"]
-            )
-    values: Dict[str, float] = {
-        "n": float(n),
-        "workers": float(workers),
-        "invocations_per_second": n / total,
-        "per_invocation_s": total / n,
-        "dispatch_rounds": rounds,
-        "queue_scan_len": scans,
-        "scan_per_round": scans / rounds if rounds else 0.0,
-        "batched_invocations": batched,
-        "batch_fraction": batched / n if n else 0.0,
-        "failed": float(failed),
-    }
-    text = format_table(
-        ["Metric", "Value"],
-        [
-            ["Invocations", str(n)],
-            ["Workers", str(workers)],
-            ["Total time (s)", f"{total:.3f}"],
-            ["Invocations / s", f"{values['invocations_per_second']:.1f}"],
-            ["Overhead per invocation (s)", f"{values['per_invocation_s']:.2e}"],
-            ["Dispatch rounds", f"{rounds:.0f}"],
-            ["Queue entries scanned", f"{scans:.0f}"],
-            ["Scans per round", f"{values['scan_per_round']:.2f}"],
-            ["Batched invocations", f"{batched:.0f} ({100 * values['batch_fraction']:.0f}%)"],
-        ],
-    )
-    return TableResult(
-        experiment="dispatch_throughput",
-        text=text,
-        values=values,
-        paper_reference=(
-            "Table 2 / §5: ~2.5 ms serial manager cost per invocation is the "
-            "lever that turns 7485 s into 414 s at 100k invocations"
-        ),
-    )
-
-
-# ------------------------------------------------------- payload plane
-def _payload_len(blob):
-    return len(blob)
-
-
-def payload_plane(
-    n_invocations: int | None = None,
-    workers: int = 4,
-    *,
-    cores: int = 4,
-    function_slots: int = 4,
-) -> TableResult:
-    """Zero-copy payload plane: warm-argument sweep from 1 KiB to 64 MiB.
-
-    Each size declares one argument via :meth:`Manager.declare_argument`
-    (serialized once into the shared-memory content store), primes every
-    library's resolved-argument cache, then times ``per_size`` warm
-    invocations against it.  The property under guard: bytes *copied*
-    per warm invocation stays flat across payload sizes — the argument
-    rides as a fixed-size descriptor and consumers map the segment —
-    while bytes *mapped* scales with the payload.  ``flatness_ratio``
-    (max/min copied-per-invocation across the *descriptor-plane* sizes,
-    i.e. those at or above ``REPRO_SHM_THRESHOLD``) near 1.0 is the
-    visible sign the data plane is descriptor-shaped, not value-shaped.
-    Sub-threshold sizes still run and report their rates, but ship
-    inline by design — a declared argument below the threshold is an
-    unbacked handle, not a pinned store entry — so they are excluded
-    from the flatness gate.
-
-    With shared memory unavailable or disabled (``REPRO_SHM=0``),
-    arguments fall back to inline bytes; ``shm`` reports 0 and the
-    flatness gate in ``benchmarks/bench_payload.py`` is skipped.
-    """
-    if _SMOKE:
-        sizes = [1024, 64 * 1024, 1024 * 1024]
-    elif _FULL:
-        sizes = [
-            1024,
-            32 * 1024,
-            256 * 1024,
-            2 * 1024 ** 2,
-            16 * 1024 ** 2,
-            64 * 1024 ** 2,
-        ]
-    else:
-        sizes = [1024, 32 * 1024, 1024 ** 2, 8 * 1024 ** 2]
-    total_n = _cap(n_invocations or (5000 if _FULL else 400))
-    per_size = max(1, total_n // len(sizes))
-
-    rows: List[List[str]] = []
-    values: Dict[str, float] = {}
-    copied_rates: List[float] = []
-    overall_time = 0.0
-    failed = 0
-    with Manager() as manager:
-        library = manager.create_library_from_functions(
-            "payload-bench", _payload_len, function_slots=function_slots
-        )
-        manager.install_library(library)
-        shm_active = manager.payloads is not None
-        copied = manager.metrics.counter("payload.bytes_copied")
-        mapped = manager.metrics.counter("payload.bytes_mapped")
-        with LocalWorkerFactory(manager, count=workers, cores=cores):
-            warmup = [
-                FunctionCall("payload-bench", "_payload_len", b"x")
-                for _ in range(workers * function_slots)
-            ]
-            for call in warmup:
-                manager.submit(call)
-            manager.wait_all(warmup, timeout=300.0)
-            for size in sizes:
-                blob = os.urandom(size)
-                arg = manager.declare_argument(blob)
-                # Prime: the first touch per library maps the segment and
-                # populates its resolved-argument cache; everything after
-                # is the warm path the flatness claim is about.
-                prime = [
-                    FunctionCall("payload-bench", "_payload_len", arg)
-                    for _ in range(workers)
-                ]
-                for call in prime:
-                    manager.submit(call)
-                manager.wait_all(prime, timeout=600.0)
-                base_copied, base_mapped = copied.value, mapped.value
-                started = time.monotonic()
-                calls = [
-                    FunctionCall("payload-bench", "_payload_len", arg)
-                    for _ in range(per_size)
-                ]
-                for call in calls:
-                    manager.submit(call)
-                manager.wait_all(calls, timeout=max(600.0, 0.5 * per_size))
-                elapsed = time.monotonic() - started
-                manager.release_argument(arg)
-                size_failed = sum(
-                    1
-                    for c in calls
-                    if c.exception is not None or c.result != size
-                )
-                failed += size_failed
-                overall_time += elapsed
-                copied_per_inv = (copied.value - base_copied) / per_size
-                mapped_per_inv = (mapped.value - base_mapped) / per_size
-                # Only descriptor-plane sizes count toward the flatness
-                # gate: below the threshold a declared argument is an
-                # unbacked handle and ships inline on purpose.
-                if size >= payload_store.threshold_bytes():
-                    copied_rates.append(copied_per_inv)
-                label = (
-                    f"{size // 1024 ** 2}MiB" if size >= 1024 ** 2
-                    else f"{size // 1024}KiB"
-                )
-                values[f"inv_per_s_{label}"] = per_size / elapsed
-                values[f"copied_per_inv_{label}"] = copied_per_inv
-                values[f"mapped_per_inv_{label}"] = mapped_per_inv
-                rows.append(
-                    [
-                        label,
-                        str(per_size),
-                        f"{per_size / elapsed:.1f}",
-                        f"{copied_per_inv:.0f}",
-                        f"{mapped_per_inv:.0f}",
-                        str(size_failed),
-                    ]
-                )
-    n = per_size * len(sizes)
-    flatness = (
-        max(copied_rates) / max(min(copied_rates), 1.0) if copied_rates else 0.0
-    )
-    values.update(
-        {
-            "n": float(n),
-            "workers": float(workers),
-            "sizes": float(len(sizes)),
-            "invocations_per_second": n / overall_time if overall_time else 0.0,
-            "copied_per_invocation_max": max(copied_rates) if copied_rates else 0.0,
-            "flatness_ratio": flatness,
-            "shm": 1.0 if shm_active else 0.0,
-            "failed": float(failed),
-        }
-    )
-    text = format_table(
-        ["Payload", "Invocations", "Inv/s", "Copied B/inv", "Mapped B/inv", "Failed"],
-        rows,
-    )
-    text += (
-        f"\nshm={'on' if shm_active else 'off'}  "
-        f"copied-per-invocation flatness ratio (max/min): {flatness:.2f}"
-    )
-    return TableResult(
-        experiment="payload_plane",
-        text=text,
-        values=values,
-        paper_reference=(
-            "§3.3 / Table 5: retaining reusable context only pays off if "
-            "moving it is cheap — the data plane ships descriptors, not bytes"
-        ),
-    )
-
-
-# ------------------------------------------------- sharded throughput
-def _shard_sleep(x, seconds=0.0):
-    import time as _time
-
-    _time.sleep(seconds)
-    return x
-
-
-# Library names chosen so a two-shard ``HashRing(replicas=64)`` splits
-# them evenly: shardbench-{0,1} home on shard-0, shardbench-{3,4} on
-# shard-1.  An uneven split would measure ring skew, not sharding.
-_SHARD_LIBRARIES = ["shardbench-0", "shardbench-1", "shardbench-3", "shardbench-4"]
-
-
-def shard_throughput(
-    n_invocations: int | None = None,
-    *,
-    workers_per_shard: int = 2,
-    worker_cores: int = 2,
-    function_slots: int = 1,
-) -> TableResult:
-    """Aggregate throughput of a 2-shard router versus one manager.
-
-    Both sides get the *same per-shard resources* (``workers_per_shard``
-    workers of ``worker_cores`` cores) and the same workload: N
-    sleep-modeled direct-mode invocations spread over four libraries.
-    The single manager can host at most ``workers * cores`` one-core
-    library instances for all four libraries; each router shard hosts
-    the same instance count for only its two home libraries, so the
-    sharded deployment has twice the aggregate library instances.  The
-    ratio of sharded over single-manager throughput is the gated number:
-    ≥1.8× proves the router turns a second manager process into real
-    capacity.
-
-    Invocations sleep for ``REPRO_SHARD_SLEEP`` seconds (default 0.25)
-    rather than burning CPU because this is a single-core host: the
-    manager's dispatch loop is CPU-bound at ~500 inv/s, so two managers
-    sharing one core cannot beat one on CPU-bound work — instance
-    capacity, not cycles, must be the ceiling for the scaling claim to
-    be measurable here (see DESIGN.md §2g for the caveat).  Direct mode
-    with one slot per instance keeps the sleep inside the persistent
-    library process (a blocked process costs no cycles); fork mode
-    would pay a process spawn per invocation, which on one core costs
-    more CPU than the sleep models.
-
-    The router phase also runs a declared-argument round trip
-    (:meth:`Router.declare_argument` → invoke on every shard →
-    :meth:`Router.release_argument`) so the CI leaked-shm check covers
-    router-mediated payload pins.
-    """
-    sleep_s = float(os.environ.get("REPRO_SHARD_SLEEP", "0.25"))
-    per_lib = n_invocations or (48 if _FULL else 24)
-    if _SMOKE:
-        per_lib = min(per_lib, 3)
-    n = per_lib * len(_SHARD_LIBRARIES)
-    wait_cap = max(120.0, 10.0 * sleep_s * n)
-    failed = 0
-
-    # Phase 1: one manager with one shard's resources hosts everything.
-    # Eviction is off because the four libraries exactly fill the
-    # instance capacity (workers x cores one-core instances): under
-    # queue pressure the evict-empty/redeploy cycle would thrash
-    # instances instead of serving invocations.  Each shard in phase 2
-    # hosts only its two home libraries, so it never hits this.
-    with Manager(enable_library_eviction=False) as manager:
-        for lib_name in _SHARD_LIBRARIES:
-            library = manager.create_library_from_functions(
-                lib_name,
-                _shard_sleep,
-                function_slots=function_slots,
-            )
-            manager.install_library(library)
-        with LocalWorkerFactory(manager, count=workers_per_shard, cores=worker_cores):
-            # Warmup queue pressure forces each library's fair share of
-            # instance deploys *before* the clock starts (the ramp —
-            # deploy + context setup — must not eat the measured
-            # window).  Exactly the fair share: with eviction off, a
-            # deeper warmup queue would let the first library pin every
-            # slot and starve the rest.
-            warm_per_lib = max(
-                1, workers_per_shard * worker_cores // len(_SHARD_LIBRARIES)
-            )
-            warmup = [
-                FunctionCall(lib_name, "_shard_sleep", i, 0.2)
-                for i in range(warm_per_lib)
-                for lib_name in _SHARD_LIBRARIES
-            ]
-            for call in warmup:
-                manager.submit(call)
-            manager.wait_all(warmup, timeout=300.0)
-            started = time.monotonic()
-            calls = [
-                FunctionCall(lib_name, "_shard_sleep", i, sleep_s)
-                for i in range(per_lib)
-                for lib_name in _SHARD_LIBRARIES
-            ]
-            for call in calls:
-                manager.submit(call)
-            manager.wait_all(calls, timeout=wait_cap)
-            single_elapsed = time.monotonic() - started
-            failed += sum(1 for c in calls if c.exception is not None)
-
-    # Phase 2: the same workload routed across two shards, each with the
-    # same resources the single manager had.
-    with Router(
-        shards=2,
-        workers_per_shard=workers_per_shard,
-        worker_cores=worker_cores,
-        library_eviction=False,
-    ) as router:
-        for lib_name in _SHARD_LIBRARIES:
-            library = router.create_library_from_functions(
-                lib_name,
-                _shard_sleep,
-                function_slots=function_slots,
-            )
-            router.install_library(library)
-        homes = {name: router._libraries[name].home for name in _SHARD_LIBRARIES}
-        shard_spread = len(set(homes.values()))
-        # Each shard hosts two of the four libraries, so the per-library
-        # fair share of its instance capacity is twice the single
-        # manager's — this is exactly the capacity the ratio measures.
-        warm_per_lib = max(1, workers_per_shard * worker_cores // 2)
-        warmup = [
-            FunctionCall(lib_name, "_shard_sleep", i, 0.2)
-            for i in range(warm_per_lib)
-            for lib_name in _SHARD_LIBRARIES
-        ]
-        for call in warmup:
-            router.submit(call)
-        router.wait_all(warmup, timeout=300.0)
-
-        # Declared-argument round trip on the router path.
-        blob = os.urandom(256 * 1024)
-        arg = router.declare_argument(blob)
-        probes = [
-            FunctionCall(lib_name, "_shard_sleep", arg)
-            for lib_name in _SHARD_LIBRARIES
-        ]
-        for call in probes:
-            router.submit(call)
-        router.wait_all(probes, timeout=300.0)
-        failed += sum(
-            1 for c in probes if c.exception is not None or c.result != blob
-        )
-        router.release_argument(arg)
-
-        started = time.monotonic()
-        calls = [
-            FunctionCall(lib_name, "_shard_sleep", i, sleep_s)
-            for i in range(per_lib)
-            for lib_name in _SHARD_LIBRARIES
-        ]
-        for call in calls:
-            router.submit(call)
-        router.wait_all(calls, timeout=wait_cap)
-        sharded_elapsed = time.monotonic() - started
-        failed += sum(1 for c in calls if c.exception is not None)
-
-    single_inv_s = n / single_elapsed if single_elapsed else 0.0
-    sharded_inv_s = n / sharded_elapsed if sharded_elapsed else 0.0
-    ratio = sharded_inv_s / single_inv_s if single_inv_s else 0.0
-    values: Dict[str, float] = {
-        "n": float(n),
-        "sleep_s": sleep_s,
-        "shards": 2.0,
-        "workers_per_shard": float(workers_per_shard),
-        "shard_spread": float(shard_spread),
-        "single_inv_s": single_inv_s,
-        "sharded_inv_s": sharded_inv_s,
-        "ratio": ratio,
-        "failed": float(failed),
-    }
-    text = format_table(
-        ["Metric", "Value"],
-        [
-            ["Invocations (per phase)", str(n)],
-            ["Invocation sleep (s)", f"{sleep_s:.2f}"],
-            ["Library homes", ", ".join(f"{k}→{v}" for k, v in sorted(homes.items()))],
-            ["Single manager (inv/s)", f"{single_inv_s:.1f}"],
-            ["2-shard router (inv/s)", f"{sharded_inv_s:.1f}"],
-            ["Aggregate speedup", f"{ratio:.2f}x"],
-            ["Failed", str(failed)],
-        ],
-    )
-    return TableResult(
-        experiment="shard_throughput",
-        text=text,
-        values=values,
-        paper_reference=(
-            "§3.5/§5: one manager is the scalability ceiling; sharding "
-            "contexts across managers buys aggregate capacity"
-        ),
-    )
-
-
 # ----------------------------------------------------------- chaos smoke
 def _chaos_fn(x):
     import time as _time
@@ -707,326 +257,6 @@ def chaos_smoke(
         paper_reference=(
             "not a paper table: failure-path guard for the stateful-worker "
             "design (lost workers destroy retained contexts, §3.4-3.6)"
-        ),
-    )
-
-
-# ------------------------------------------------------- policy A/B harness
-def _policy_fn(x, seconds=0.0):
-    import time as _time
-
-    if seconds:
-        _time.sleep(seconds)
-    return x
-
-
-_POLICY_HOT_LIBS = ("pol-h0", "pol-h1")
-_POLICY_COLD_LIBS = ("pol-c0", "pol-c1", "pol-c2")
-
-
-def _policy_sequence(steps: int) -> List[str]:
-    """One Zipf-skewed invocation sequence, identical for every arm.
-
-    Zipf ranks 1 and 2 are two hot libraries (~55% of traffic combined
-    at s=1.5); the tail rotates through three cold libraries, so a cold
-    arrival never hits the cold library already resident — each one is
-    an unavoidable miss under *any* policy, and the arms differ purely
-    in whether their victim ranking sacrifices a hot library to make
-    room.  The reactive victim order is instance age, and the cold slot
-    churns fastest, so the hot instances are almost always the oldest
-    residents: reactive keeps paying hot redeploys that warmth-ranked
-    eviction provably never does.
-
-    The three streams are merged by rate (error diffusion), the way
-    independent tenants' arrivals interleave in a shared serving tier,
-    rather than replayed as one tenant's runs: back-to-back same-library
-    draws would be warm under every policy and only dilute the A/B
-    contrast the harness is scoring.
-    """
-    from repro.util.rng import seeded_rng
-
-    rng = seeded_rng("bench", "policy", "zipf")
-    counts = {"h0": 0, "h1": 0, "cold": 0}
-    for _ in range(steps):
-        draw = int(rng.zipf(1.5))
-        if draw == 1:
-            counts["h0"] += 1
-        elif draw == 2:
-            counts["h1"] += 1
-        else:
-            counts["cold"] += 1
-    credit = {stream: 0.0 for stream in counts}
-    seq: List[str] = []
-    cold_turn = 0
-    for _ in range(steps):
-        for stream in counts:
-            credit[stream] += counts[stream] / steps
-        pick = max(credit, key=lambda stream: credit[stream])
-        credit[pick] -= 1.0
-        if pick == "h0":
-            seq.append(_POLICY_HOT_LIBS[0])
-        elif pick == "h1":
-            seq.append(_POLICY_HOT_LIBS[1])
-        else:
-            seq.append(_POLICY_COLD_LIBS[cold_turn % len(_POLICY_COLD_LIBS)])
-            cold_turn += 1
-    return seq
-
-
-def _p99(samples: List[float]) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-
-
-def _policy_warmhit_arm(policy: str, sequence: List[str]):
-    """Replay ``sequence`` serially under ``policy`` on a 3-slot worker.
-
-    Three slots hold three of the five libraries, so every cold deploy
-    must evict somebody.  Returns (warm_ratio, hot_p99_latency,
-    prewarms, prewarm_hits, failed).  Serial submission keeps the
-    eviction dynamics identical across arms: every step sees the same
-    resident set its policy produced, not a race between queued deploys.
-    """
-    with Manager(policy=policy) as manager:
-        for name in _POLICY_HOT_LIBS + _POLICY_COLD_LIBS:
-            library = manager.create_library_from_functions(
-                name, _policy_fn, function_slots=1
-            )
-            manager.install_library(library)
-        latencies: Dict[str, List[float]] = {}
-        failed = 0
-        with LocalWorkerFactory(manager, count=1, cores=3):
-            for position, lib_name in enumerate(sequence):
-                call = FunctionCall(lib_name, "_policy_fn", position)
-                manager.submit(call)
-                try:
-                    manager.wait_all([call], timeout=120.0)
-                except EngineError:
-                    failed += 1
-                    break
-                if call.exception is not None:
-                    failed += 1
-                    continue
-                latencies.setdefault(lib_name, []).append(
-                    call.timeline["completed"] - call.timeline["submitted"]
-                )
-        warm = manager.metrics.counter("policy.warm_hits").value
-        cold = manager.metrics.counter("policy.cold_hits").value
-        prewarms = manager.metrics.counter("policy.prewarms").value
-        prewarm_hits = manager.metrics.counter("policy.prewarm_hits").value
-    ratio = warm / (warm + cold) if warm + cold else 0.0
-    hot_latencies = [
-        sample for name in _POLICY_HOT_LIBS for sample in latencies.get(name, [])
-    ]
-    return ratio, _p99(hot_latencies), prewarms, prewarm_hits, failed
-
-
-def _policy_admission_arm(
-    policy, hog_calls: int, mouse_calls: int, sleep_s: float, *, with_hog: bool = True
-):
-    """One multi-tenant burst: a hog tenant against three mice.
-
-    Everything is submitted at once (this phase measures queueing, not
-    placement), and per-tenant queue wait is read off each task's
-    submit→dispatch timeline.  Returns (mouse_p99_wait, hog_p99_wait,
-    failed).  ``with_hog=False`` measures the mice alone — the
-    fair-share reference the admission gate is calibrated against.
-    """
-    with Manager(policy=policy) as manager:
-        names = ["adm-hog", "adm-m0", "adm-m1", "adm-m2"]
-        for name in names:
-            library = manager.create_library_from_functions(
-                name, _policy_fn, function_slots=1
-            )
-            manager.install_library(library)
-        calls: List[FunctionCall] = []
-        if with_hog:
-            for i in range(hog_calls):
-                call = FunctionCall("adm-hog", "_policy_fn", i, sleep_s)
-                call.tenant = "hog"
-                calls.append(call)
-        for mouse in range(3):
-            for i in range(mouse_calls):
-                call = FunctionCall(f"adm-m{mouse}", "_policy_fn", i, sleep_s)
-                call.tenant = f"mouse{mouse}"
-                calls.append(call)
-        with LocalWorkerFactory(manager, count=1, cores=2):
-            for call in calls:
-                manager.submit(call)
-            try:
-                manager.wait_all(
-                    calls, timeout=max(120.0, 20.0 * sleep_s * len(calls))
-                )
-            except EngineError:
-                pass  # stragglers surface below as ``failed``
-        failed = sum(
-            1
-            for c in calls
-            if c.exception is not None or "dispatched" not in c.timeline
-        )
-        mouse_waits = [
-            c.timeline["dispatched"] - c.timeline["submitted"]
-            for c in calls
-            if c.tenant != "hog" and "dispatched" in c.timeline
-        ]
-        hog_waits = [
-            c.timeline["dispatched"] - c.timeline["submitted"]
-            for c in calls
-            if c.tenant == "hog" and "dispatched" in c.timeline
-        ]
-    return _p99(mouse_waits), _p99(hog_waits), failed
-
-
-def policy_ab(steps: int | None = None) -> TableResult:
-    """A/B scorecard for the serving-layer policies (BENCH_policy.json).
-
-    Phase A replays one Zipf-skewed sequence under reactive, sticky, and
-    prewarm on a worker that can hold three of five libraries: warm-hit
-    ratio (``policy.warm_hits`` over all classifications) and the hot
-    libraries' p99 submit→complete latency are the scored numbers.
-
-    Phase B runs the multi-tenant admission burst under reactive and
-    fair, plus a mice-alone reference run: the gated number is the
-    starved tenants' p99 queue wait under ``fair`` as a multiple of
-    their wait with no hog at all (their fair-share value).
-
-    The full scorecard is always written to ``BENCH_policy.json`` at the
-    repo root — this harness *is* the baseline generator; scripts/ci.sh
-    gates directly on the emitted deltas.
-    """
-    import json
-
-    steps = _cap(steps or (24 if _SMOKE else 60))
-    sequence = _policy_sequence(steps)
-    failed = 0
-
-    arms: Dict[str, tuple] = {}
-    for policy in ("reactive", "sticky", "prewarm"):
-        ratio, hot_p99, prewarms, prewarm_hits, arm_failed = _policy_warmhit_arm(
-            policy, sequence
-        )
-        arms[policy] = (ratio, hot_p99, prewarms, prewarm_hits)
-        failed += arm_failed
-
-    hog_calls = 12 if _SMOKE else 40
-    mouse_calls = 4 if _SMOKE else 6
-    # 0.25s sleeps, not 0.05: every call in this phase pays one library
-    # deploy/evict cycle (function_slots=1, two seats, four tenants), so
-    # with tiny sleeps the measured waits are mostly subprocess-spawn
-    # jitter.  At 0.25s the deterministic service time dominates and the
-    # stretch ratio is stable run to run.  The two arms the gate divides
-    # (mice alone and fair) run twice each and average their p99s, which
-    # halves the remaining noise; the ungated reactive arm runs once.
-    sleep_s = float(os.environ.get("REPRO_POLICY_SLEEP", "0.25"))
-    alone_runs, fair_runs = [], []
-    f0 = f2 = 0
-    fair_hog_p99 = 0.0
-    for _ in range(2):
-        alone_p99, _, arm_failed = _policy_admission_arm(
-            "reactive", hog_calls, mouse_calls, sleep_s, with_hog=False
-        )
-        alone_runs.append(alone_p99)
-        f0 += arm_failed
-        fair_p99, fair_hog_p99, arm_failed = _policy_admission_arm(
-            "fair", hog_calls, mouse_calls, sleep_s
-        )
-        fair_runs.append(fair_p99)
-        f2 += arm_failed
-    alone_mouse_p99 = sum(alone_runs) / len(alone_runs)
-    fair_mouse_p99 = sum(fair_runs) / len(fair_runs)
-    reactive_mouse_p99, reactive_hog_p99, f1 = _policy_admission_arm(
-        "reactive", hog_calls, mouse_calls, sleep_s
-    )
-    failed += f0 + f1 + f2
-
-    reactive_ratio = arms["reactive"][0]
-    values: Dict[str, float] = {
-        "n": float(steps),
-        "hog_calls": float(hog_calls),
-        "mouse_calls": float(mouse_calls),
-        "reactive_warm_ratio": reactive_ratio,
-        "sticky_warm_ratio": arms["sticky"][0],
-        "prewarm_warm_ratio": arms["prewarm"][0],
-        "sticky_warm_delta": arms["sticky"][0] - reactive_ratio,
-        "prewarm_warm_delta": arms["prewarm"][0] - reactive_ratio,
-        "reactive_hot_p99_s": arms["reactive"][1],
-        "sticky_hot_p99_s": arms["sticky"][1],
-        "prewarm_hot_p99_s": arms["prewarm"][1],
-        "sticky_p99_delta_s": arms["reactive"][1] - arms["sticky"][1],
-        "prewarm_p99_delta_s": arms["reactive"][1] - arms["prewarm"][1],
-        "prewarms": float(arms["prewarm"][2]),
-        "prewarm_hits": float(arms["prewarm"][3]),
-        "prewarm_precision": (
-            arms["prewarm"][3] / arms["prewarm"][2] if arms["prewarm"][2] else 1.0
-        ),
-        "alone_mouse_p99_wait_s": alone_mouse_p99,
-        "reactive_mouse_p99_wait_s": reactive_mouse_p99,
-        "fair_mouse_p99_wait_s": fair_mouse_p99,
-        "reactive_hog_p99_wait_s": reactive_hog_p99,
-        "fair_hog_p99_wait_s": fair_hog_p99,
-        "fair_mouse_stretch": (
-            fair_mouse_p99 / alone_mouse_p99 if alone_mouse_p99 else 0.0
-        ),
-        "failed": float(failed),
-    }
-
-    # The scorecard is the artifact: emit it unconditionally.
-    repo_root = os.path.abspath(
-        os.path.join(os.path.dirname(__file__), "..", "..", "..")
-    )
-    out_path = os.path.join(repo_root, "BENCH_policy.json")
-    with open(out_path, "w") as fh:
-        json.dump(
-            {k: round(float(v), 4) for k, v in values.items()},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-
-    text = format_table(
-        ["Metric", "reactive", "sticky", "prewarm"],
-        [
-            [
-                "Warm-hit ratio",
-                f"{reactive_ratio:.2f}",
-                f"{arms['sticky'][0]:.2f}",
-                f"{arms['prewarm'][0]:.2f}",
-            ],
-            [
-                "Hot p99 latency (s)",
-                f"{arms['reactive'][1]:.3f}",
-                f"{arms['sticky'][1]:.3f}",
-                f"{arms['prewarm'][1]:.3f}",
-            ],
-            [
-                "Prewarms (hits)",
-                "-",
-                "-",
-                f"{arms['prewarm'][2]:.0f} ({arms['prewarm'][3]:.0f})",
-            ],
-        ],
-    ) + "\n" + format_table(
-        ["Tenant p99 queue wait (s)", "mice alone", "reactive", "fair"],
-        [
-            [
-                "mice (starved tenants)",
-                f"{alone_mouse_p99:.3f}",
-                f"{reactive_mouse_p99:.3f}",
-                f"{fair_mouse_p99:.3f}",
-            ],
-            ["hog", "-", f"{reactive_hog_p99:.3f}", f"{fair_hog_p99:.3f}"],
-        ],
-    )
-    return TableResult(
-        experiment="policy_ab",
-        text=text,
-        values=values,
-        paper_reference=(
-            "not a paper table: serving-layer policy scorecard (sticky "
-            "affinity, predictive prewarm, per-tenant admission control)"
         ),
     )
 
@@ -1604,438 +834,4 @@ def trace_workload(
             "out_path": out_path,
         },
         paper_reference="§4.7 / Table 5: per-invocation cost decomposition",
-    )
-
-
-# --------------------------------------------------------- Telemetry harness
-def _telemetry_fn(x):
-    return x * 2
-
-
-def telemetry_workload(
-    n_invocations: int = 40,
-    n_tasks: int = 4,
-    out_dir: str | None = None,
-) -> TableResult:
-    """Run a mixed workload with the full live-telemetry pipeline on.
-
-    Drives the real engine with the performance-log sampler, the
-    transaction log, worker resource heartbeats, and the ``/metrics`` +
-    ``/status`` HTTP status server all enabled; scrapes the server
-    mid-run (like a Prometheus poller would), then renders the run
-    report from the perflog it produced.  This is the end-to-end
-    exercise of everything ``REPRO_PERFLOG_DIR`` / ``REPRO_STATUS_PORT``
-    turn on.
-    """
-    import json as _json
-    import tempfile
-    import urllib.request
-
-    from repro.obs.perflog import read_perflog
-    from repro.obs.report import run_report, warm_cold_by_context
-    from repro.obs.statusd import parse_prometheus
-
-    n_invocations = _cap(n_invocations)
-    n_tasks = _cap(n_tasks)
-    tmp_ctx = None
-    if out_dir is None:
-        tmp_ctx = tempfile.TemporaryDirectory(prefix="repro-telemetry-")
-        out_dir = tmp_ctx.name
-    try:
-        with Manager(
-            perflog_dir=out_dir, perflog_interval=0.05, status_port=0
-        ) as manager:
-            library = manager.create_library_from_functions(
-                "telemetry-bench", _telemetry_fn, function_slots=2
-            )
-            manager.install_library(library)
-            with LocalWorkerFactory(manager, count=2, status_interval=0.2):
-                calls = [
-                    FunctionCall("telemetry-bench", "_telemetry_fn", i)
-                    for i in range(n_invocations)
-                ]
-                tasks = [PythonTask(_telemetry_fn, i) for i in range(n_tasks)]
-                for work in [*calls, *tasks]:
-                    manager.submit(work)
-                # Scrape mid-run, the way an external poller would.
-                base_url = manager.status_server.url
-                manager.wait_all(calls[: n_invocations // 2], timeout=300.0)
-                with urllib.request.urlopen(base_url + "/metrics", timeout=10) as rsp:
-                    metric_samples = parse_prometheus(rsp.read().decode("utf-8"))
-                with urllib.request.urlopen(base_url + "/status", timeout=10) as rsp:
-                    status_doc = _json.loads(rsp.read().decode("utf-8"))
-                manager.wait_all([*calls, *tasks], timeout=300.0)
-            done = sum(
-                1 for w in [*calls, *tasks] if w.state is TaskState.DONE
-            )
-            perflog_path = manager.perflog.perflog_path
-            txnlog_path = manager.perflog.txnlog_path
-        samples = read_perflog(perflog_path)
-        transactions = read_perflog(txnlog_path)
-        report = run_report(samples, transactions)
-    finally:
-        if tmp_ctx is not None:
-            tmp_ctx.cleanup()
-
-    # PR 10: record the cluster-scope cost too — one federation-off vs
-    # federation-on pair through a 2-shard router, so the committed
-    # BENCH_telemetry.json baseline tracks what turning federation on
-    # costs the dispatch window (the hard CI gate lives in
-    # scripts/telemetry_smoke.py with a proper minimum-of-pairs run).
-    federation = federation_overhead(pairs=1)
-
-    warm_cold = warm_cold_by_context(samples)
-    values: Dict[str, object] = {
-        "n": float(n_invocations + n_tasks),
-        "completed": float(done),
-        "perflog_samples": float(len(samples)),
-        "transactions": float(len(transactions)),
-        "metric_samples": float(len(metric_samples)),
-        "status_workers": float(len(status_doc.get("workers", {}))),
-        "federation_n": federation["n"],
-        "federation_overhead_pct": federation["overhead_pct"],
-        "warm_ratio": {
-            ctx: row["warm_ratio"] for ctx, row in warm_cold.items()
-        },
-    }
-    text = (
-        f"scraped {base_url}/metrics mid-run: {len(metric_samples)} Prometheus "
-        f"samples; /status saw {len(status_doc.get('workers', {}))} workers\n"
-        f"perflog: {len(samples)} samples, txnlog: {len(transactions)} "
-        f"transitions\n"
-        f"metrics federation (2-shard router, n={federation['n']:.0f}): "
-        f"{federation['off_s_per_invocation'] * 1e3:.1f}ms/inv off vs "
-        f"{federation['on_s_per_invocation'] * 1e3:.1f}ms/inv on "
-        f"({federation['overhead_pct']:+.1f}%)\n\n" + report
-    )
-    return TableResult(
-        experiment="telemetry",
-        text=text,
-        values=values,
-        paper_reference=(
-            "not a paper table: live observability for the runs behind "
-            "Figs 6-11 (TaskVine-style performance + transaction logs)"
-        ),
-    )
-
-
-# ---------------------------------------------------- SLO scorecard harness
-def federation_overhead(
-    n_invocations: int | None = None, pairs: int = 2
-) -> Dict[str, float]:
-    """Dispatch-window cost of metrics federation: off vs on, same router.
-
-    Both arms run the identical invocation burst through a 2-shard
-    router with the status server up; the only difference is whether
-    shards push registry snapshots on their status frames and the
-    router merges them on scrape.  Returns the *minimum* pair delta as
-    a percentage of the federation-off window — the same
-    minimum-of-pairs policy as the telemetry overhead gate, because
-    scheduler noise only ever inflates a single run, never deflates
-    every pair at once.
-    """
-    import urllib.request
-
-    n = _cap(n_invocations or (24 if _SMOKE else 80))
-
-    def window(federate: bool) -> float:
-        with Router(
-            shards=2,
-            workers_per_shard=1,
-            worker_cores=4,
-            status_port=0,
-            federate=federate,
-        ) as router:
-            library = router.create_library_from_functions(
-                "fed-bench", _telemetry_fn, function_slots=2
-            )
-            router.install_library(library)
-            calls = [
-                FunctionCall("fed-bench", "_telemetry_fn", i) for i in range(n)
-            ]
-            started = time.monotonic()
-            for call in calls:
-                router.submit(call)
-            router.wait_all(calls, timeout=300.0)
-            elapsed = time.monotonic() - started
-            if federate:
-                # Exercise the merge path the way a poller would; the
-                # scrape itself is off the dispatch window on purpose.
-                url = router.status_server.url + "/metrics"
-                with urllib.request.urlopen(url, timeout=10) as rsp:
-                    rsp.read()
-        return elapsed / n
-
-    deltas: List[float] = []
-    off_s = on_s = 0.0
-    for _ in range(max(1, pairs)):
-        off_s = window(False)
-        on_s = window(True)
-        deltas.append((on_s - off_s) / off_s * 100.0 if off_s else 0.0)
-    return {
-        "n": float(n),
-        "pairs": float(max(1, pairs)),
-        "off_s_per_invocation": off_s,
-        "on_s_per_invocation": on_s,
-        "overhead_pct": min(deltas),
-    }
-
-
-# Trace-health contract for one router-submitted invocation: every one
-# of these span types must appear in its merged timeline, or the
-# federated trace dropped something on the floor.
-_SLO_REQUIRED_SPANS = frozenset(
-    {
-        "router_submit",
-        "router_hop",
-        "shard_queue",
-        "task_submit",
-        "task_dispatch",
-        "task_cost",
-    }
-)
-
-
-def slo_scorecard(steps: int | None = None) -> TableResult:
-    """Per-tenant SLO scorecard through a 2-shard router (BENCH_slo.json).
-
-    Replays the PR-9 workloads at cluster scope with the full
-    observability plane on (tracing, per-shard perflogs, federation):
-
-    - **Arm A** drives the Zipf five-library sequence through a sticky
-      2-shard router; each hot library is a tenant with a warm-hit SLO
-      scored from the per-invocation warm/cold oracle (``env_setup > 0``
-      on the traced ``task_cost`` event means the invocation paid a cold
-      start).
-    - **Arm B** runs the hog-vs-mice admission burst under the ``fair``
-      policy, calibrated by a mice-alone run through the identical
-      topology: the mouse tenant's latency SLO bound is four times its
-      uncontended p99 queue wait (floored at 2 s), goal 0.9, plus an
-      error-rate SLO at 0.99.
-
-    Both arms also audit the federated timeline itself — zero
-    unparented spans, zero submissions missing a required span type —
-    because an SLO scored from a broken trace is fiction.  The
-    scorecard (attainment + multi-window burn rates per tenant) is
-    always written to ``BENCH_slo.json`` at the repo root; scripts/ci.sh
-    gates on the trace-health counters and the mouse SLO directly.
-    """
-    import json as _json
-    import tempfile
-
-    from repro.obs.metrics import MetricsRegistry as _Registry
-    from repro.obs.report import federated_report
-    from repro.obs.slo import SLOBoard, SLOTarget
-    from repro.obs.trace import unparented_events
-
-    steps = _cap(steps or (24 if _SMOKE else 60))
-    sequence = _policy_sequence(steps)
-    hog_calls = 12 if _SMOKE else 40
-    mouse_calls = 4 if _SMOKE else 6
-    sleep_s = float(os.environ.get("REPRO_POLICY_SLEEP", "0.25"))
-
-    unparented = dropped = spans_total = failed = 0
-    warm_obs: Dict[str, List[tuple]] = {}
-
-    tmp = tempfile.TemporaryDirectory(prefix="repro-slo-")
-    warm_dir = os.path.join(tmp.name, "warm")
-    saved = {k: os.environ.get(k) for k in ("REPRO_TRACE", "REPRO_PERFLOG_DIR")}
-    os.environ["REPRO_TRACE"] = "1"
-    try:
-        # ---- Arm A: Zipf warm-hit replay, sticky placement, 2 shards.
-        os.environ["REPRO_PERFLOG_DIR"] = warm_dir
-        with Router(
-            shards=2, workers_per_shard=1, worker_cores=3, policy="sticky"
-        ) as router:
-            for name in _POLICY_HOT_LIBS + _POLICY_COLD_LIBS:
-                library = router.create_library_from_functions(
-                    name, _policy_fn, function_slots=1
-                )
-                router.install_library(library)
-            completed = []
-            for position, lib_name in enumerate(sequence):
-                call = FunctionCall(lib_name, "_policy_fn", position)
-                call.tenant = lib_name
-                router.submit(call)
-                try:
-                    router.wait_all([call], timeout=120.0)
-                except EngineError:
-                    failed += 1
-                    break
-                if call.exception is not None:
-                    failed += 1
-                    continue
-                completed.append(call)
-            events = router.trace_events()
-            spans_total += len(events)
-            unparented += len(unparented_events(events))
-            for call in completed:
-                timeline = router.task_timeline(call)
-                if not _SLO_REQUIRED_SPANS <= {e.etype for e in timeline}:
-                    dropped += 1
-                    continue
-                cost = next(e for e in timeline if e.etype == "task_cost")
-                cold = float(cost.attrs.get("env_setup", 0.0)) > 0.0
-                warm_obs.setdefault(call.library_name, []).append(
-                    (timeline[0].ts, not cold)
-                )
-        cluster_report = federated_report(warm_dir, width=40)
-
-        # ---- Arm B: hog-vs-mice admission burst, fair policy.
-        def admission_arm(policy: str, with_hog: bool):
-            nonlocal unparented, dropped, spans_total, failed
-            os.environ["REPRO_PERFLOG_DIR"] = os.path.join(
-                tmp.name, f"{policy}-{'hog' if with_hog else 'alone'}"
-            )
-            with Router(
-                shards=2, workers_per_shard=1, worker_cores=2, policy=policy
-            ) as router:
-                for name in ("adm-hog", "adm-m0", "adm-m1", "adm-m2"):
-                    library = router.create_library_from_functions(
-                        name, _policy_fn, function_slots=1
-                    )
-                    router.install_library(library)
-                calls: List[FunctionCall] = []
-                if with_hog:
-                    for i in range(hog_calls):
-                        call = FunctionCall("adm-hog", "_policy_fn", i, sleep_s)
-                        call.tenant = "hog"
-                        calls.append(call)
-                for mouse in range(3):
-                    for i in range(mouse_calls):
-                        call = FunctionCall(f"adm-m{mouse}", "_policy_fn", i, sleep_s)
-                        call.tenant = f"mouse{mouse}"
-                        calls.append(call)
-                for call in calls:
-                    router.submit(call)
-                try:
-                    router.wait_all(
-                        calls, timeout=max(120.0, 20.0 * sleep_s * len(calls))
-                    )
-                except EngineError:
-                    pass  # stragglers surface below as ``failed``
-                events = router.trace_events()
-                spans_total += len(events)
-                unparented += len(unparented_events(events))
-                observations = []  # (tenant-group, root ts, wait, ok)
-                for call in calls:
-                    ok = (
-                        call.exception is None and "dispatched" in call.timeline
-                    )
-                    if not ok:
-                        failed += 1
-                    timeline = router.task_timeline(call)
-                    if ok and not _SLO_REQUIRED_SPANS <= {
-                        e.etype for e in timeline
-                    }:
-                        dropped += 1
-                    root_ts = timeline[0].ts if timeline else time.time()
-                    wait = (
-                        call.timeline["dispatched"] - call.timeline["submitted"]
-                        if "dispatched" in call.timeline
-                        else float("inf")
-                    )
-                    group = "hog" if call.tenant == "hog" else "mouse"
-                    observations.append((group, root_ts, wait, ok))
-                return observations
-
-        alone = admission_arm("fair", with_hog=False)
-        alone_waits = [w for g, _, w, ok in alone if g == "mouse" and ok]
-        alone_p99 = _p99(alone_waits)
-        latency_bound = max(2.0, 4.0 * alone_p99)
-        contended = admission_arm("fair", with_hog=True)
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        tmp.cleanup()
-
-    # ---- Score everything against the declarative targets.
-    registry = _Registry()
-    targets = [
-        SLOTarget("mouse", "latency", goal=0.9, threshold=latency_bound),
-        SLOTarget("mouse", "error_rate", goal=0.99),
-        SLOTarget("hog", "latency", goal=0.5, threshold=latency_bound),
-    ]
-    for lib_name in _POLICY_HOT_LIBS:
-        targets.append(SLOTarget(lib_name, "warm_hit", goal=0.6))
-    board = SLOBoard(targets, registry=registry)
-    for lib_name, samples in warm_obs.items():
-        for ts, warm in samples:
-            board.observe(lib_name, "warm_hit", ts, warm)
-    for group, ts, wait, ok in contended:
-        board.observe(group, "latency", ts, ok and wait <= latency_bound)
-        board.observe(group, "error_rate", ts, ok)
-    results = board.evaluate()
-    scorecard = board.scorecard()
-    fair_mouse_slo_met = int(
-        results["mouse.latency"]["met"] and results["mouse.error_rate"]["met"]
-    )
-
-    values: Dict[str, float] = dict(scorecard)
-    values.update(
-        {
-            "n": float(steps),
-            "hog_calls": float(hog_calls),
-            "mouse_calls": float(mouse_calls),
-            "alone_mouse_p99_wait_s": alone_p99,
-            "latency_bound_s": latency_bound,
-            "fair_mouse_slo_met": float(fair_mouse_slo_met),
-            "failed": float(failed),
-            "unparented_spans": float(unparented),
-            "dropped_spans": float(dropped),
-            "spans_total": float(spans_total),
-            "slo_metrics_emitted": float(
-                sum(1 for name in registry.gauges if name.startswith("slo."))
-            ),
-        }
-    )
-
-    # The scorecard is the artifact: emit it unconditionally.
-    repo_root = os.path.abspath(
-        os.path.join(os.path.dirname(__file__), "..", "..", "..")
-    )
-    out_path = os.path.join(repo_root, "BENCH_slo.json")
-    with open(out_path, "w") as fh:
-        _json.dump(
-            {k: round(float(v), 4) for k, v in values.items()},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-
-    rows = []
-    for key, result in sorted(results.items()):
-        rows.append(
-            [
-                key,
-                f"{result['attainment']:.3f}",
-                f"{result['goal']:.2f}",
-                "yes" if result["met"] else "NO",
-                f"{result['burn']['short']:.2f}",
-                f"{result['burn']['long']:.2f}",
-                f"{result['n']}",
-            ]
-        )
-    text = (
-        format_table(
-            ["SLO", "attainment", "goal", "met", "burn(short)", "burn(long)", "n"],
-            rows,
-        )
-        + f"\n\ntrace health: {spans_total} spans, {unparented} unparented, "
-        f"{dropped} submissions missing required spans, {failed} failed\n\n"
-        + cluster_report
-    )
-    return TableResult(
-        experiment="slo_scorecard",
-        text=text,
-        values=values,
-        paper_reference=(
-            "not a paper table: per-tenant SLO scorecard over the federated "
-            "observability plane (warm-hit and fair-queueing targets, "
-            "multi-window burn rates)"
-        ),
     )

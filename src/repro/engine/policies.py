@@ -63,9 +63,10 @@ Metrics: every manager exports ``policy.*`` instruments —
 ``policy.warm_hits`` / ``policy.cold_hits`` (warm-hit ratio),
 ``policy.prewarms`` / ``policy.prewarm_hits`` (prewarm precision), and a
 ``policy.queue_wait.<tenant>`` histogram per tenant (admission-control
-p99 queue wait).  The A/B harness (``python -m repro.bench policy``)
-replays one Zipf multi-tenant workload under each policy and emits
-``BENCH_policy.json`` with the deltas.
+p99 queue wait).  Retention quality is scored by the benchmark ladder's
+``context_churn`` workload (``warm_hit_ratio``, ``library.deploys``,
+``library.evictions``): ``python3 benchmarks/ladder/run.py --workload
+context_churn``.
 """
 
 from __future__ import annotations

@@ -173,7 +173,6 @@ class Router:
         peer_cap: int = 3,
         connect_timeout: float = 60.0,
         spawn: bool = True,
-        library_eviction: bool = True,
         policy: "str | SchedulingPolicy | None" = None,
         status_port: Optional[int] = None,
         federate: Optional[bool] = None,
@@ -184,7 +183,6 @@ class Router:
             raise EngineError("max_retries must be >= 0")
         self.max_retries = max_retries
         self.peer_cap = peer_cap
-        self.library_eviction = library_eviction
         # Serving-layer policy, applied at two levels: the router itself
         # consults it for shard-level affinity (plain tasks follow the
         # shard that last completed the same function), and every shard
@@ -308,8 +306,6 @@ class Router:
                 "--index",
                 str(i),
             ]
-            if not self.library_eviction:
-                cmd.append("--no-library-eviction")
             cmd.extend(["--policy", self.policy.name])
             procs.append(
                 (name, subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))

@@ -146,7 +146,6 @@ class Shard:
         memory: int,
         disk: int,
         workdir: str,
-        library_eviction: bool = True,
         policy: str = "",
         index: int = 0,
     ):
@@ -158,7 +157,6 @@ class Shard:
         self.manager = Manager(
             workdir=os.path.join(workdir, "manager"),
             name=name,
-            enable_library_eviction=library_eviction,
             policy=policy or None,
             status_port=_resolve_status_port(index),
         )
@@ -462,11 +460,6 @@ def main(argv=None) -> int:
     parser.add_argument("--disk", type=int, default=4096)
     parser.add_argument("--workdir", required=True)
     parser.add_argument(
-        "--no-library-eviction",
-        action="store_true",
-        help="pin library instances (no evict-empty churn under queue pressure)",
-    )
-    parser.add_argument(
         "--policy",
         default="",
         help="scheduling policy name for this shard's manager "
@@ -488,7 +481,6 @@ def main(argv=None) -> int:
         memory=args.memory,
         disk=args.disk,
         workdir=args.workdir,
-        library_eviction=not args.no_library_eviction,
         policy=args.policy,
         index=args.index,
     )

@@ -35,16 +35,11 @@ def run(sandbox: str, env_dir: str | None) -> int:
     # "deserialization" cost component is measured, not inferred.
     deserialize_started = time.monotonic()
     try:
-        code_path = os.path.join(sandbox, CODE_FILE)
-        if os.path.exists(code_path):
-            # Split format: the (per-function memoized) code blob and the
-            # per-task argument blob ship independently, so a repeated
-            # function or argument is never re-pickled into each task.
-            fn = deserialize_from_file(code_path)["code"].reconstruct()
-            spec = deserialize_from_file(os.path.join(sandbox, ARGS_FILE))
-        else:  # legacy combined blob
-            spec = deserialize_from_file(os.path.join(sandbox, ARGS_FILE))
-            fn = spec["code"].reconstruct()
+        # The (per-function memoized) code blob and the per-task argument
+        # blob ship independently, so a repeated function or argument is
+        # never re-pickled into each task.
+        fn = deserialize_from_file(os.path.join(sandbox, CODE_FILE))["code"].reconstruct()
+        spec = deserialize_from_file(os.path.join(sandbox, ARGS_FILE))
         args = spec.get("args", ())
         kwargs = spec.get("kwargs", {})
         # Arguments declared via Manager.declare_argument arrive as

@@ -439,21 +439,23 @@ class Worker:
         try:
             env_dir, env_time = self._ensure_environment(message.get("env_hash"))
             staging = self._stage_inputs(sandbox, message.get("inputs", []))
+            # Wire format: the memoized code blob leads the payload; args
+            # follow inline or ride in shared memory.
             code_size = int(message.get("code_size", 0))
-            if code_size:
-                # Split wire format: the memoized code blob leads the
-                # payload; args follow inline or ride in shared memory.
-                sandbox.write(CODE_FILE, payload[:code_size])
-                descriptor = message.get("args_shm")
-                if descriptor is not None:
-                    args_blob = payloads.fetch(descriptor)  # store-owned; no unlink
-                    self.payload_mapped += len(args_blob)
-                else:
-                    args_blob = payload[code_size:]
-                    self.payload_copied += len(args_blob)
-                sandbox.write(ARGS_FILE, args_blob)
-            else:  # legacy combined blob
-                sandbox.write(ARGS_FILE, payload)
+            if not 0 < code_size <= len(payload):
+                raise ProtocolError(
+                    f"task frame code_size={message.get('code_size')!r} "
+                    f"is not within its {len(payload)}-byte payload"
+                )
+            sandbox.write(CODE_FILE, payload[:code_size])
+            descriptor = message.get("args_shm")
+            if descriptor is not None:
+                args_blob = payloads.fetch(descriptor)  # store-owned; no unlink
+                self.payload_mapped += len(args_blob)
+            else:
+                args_blob = payload[code_size:]
+                self.payload_copied += len(args_blob)
+            sandbox.write(ARGS_FILE, args_blob)
             cmd = [sys.executable, "-m", "repro.engine.task_runner", sandbox.path]
             if env_dir:
                 cmd.append(env_dir)

@@ -22,7 +22,7 @@ The package has six layers:
   federating a sharded run directory (``--shard-dir``).
 - :mod:`repro.obs.slo` -- declarative per-tenant SLO targets scored
   from observed telemetry with multi-window burn rates, emitted as
-  ``slo.*`` metrics and the ``BENCH_slo.json`` scorecard.
+  ``slo.*`` metrics and a flat scorecard dict.
 
 Under a sharded router (PR 8+) the plane is cluster-wide: the router
 stamps every submission with a trace id that flows through shard,

@@ -21,12 +21,11 @@ and evaluates:
 
 Results are emitted as ``slo.*`` gauges/counters on a
 :class:`~repro.obs.metrics.MetricsRegistry` so the federation layer
-exports them on ``/metrics``, and as a flat :meth:`SLOBoard.scorecard`
-dict the ``python -m repro.bench slo`` harness writes to
-``BENCH_slo.json``.
+exports them on ``/metrics``, and as a flat, JSON-ready
+:meth:`SLOBoard.scorecard` dict.
 
 Objectives are conventions, not an enum — the board only needs the
-good/bad stream.  The three the scorecard uses:
+good/bad stream.  Three common ones:
 
 - ``latency``: good = the task's latency was under the tenant's bound.
 - ``warm_hit``: good = the invocation landed on a warm instance.

@@ -35,13 +35,11 @@ EVENT_TYPES = frozenset(
         "task_dispatch",
         "task_retry",
         "task_cost",
-        "transfer_start",
         "transfer_done",
         "worker_lost",
         "library_place",
         "library_remove",
         # worker
-        "stage_start",
         "stage_done",
         "cache_hit",
         "cache_miss",
@@ -64,8 +62,6 @@ _CAUSAL_RANK = {
     "router_hop": 1,
     "task_dispatch": 1,
     "shard_queue": 2,
-    "transfer_start": 2,
-    "stage_start": 2,
     "task_cost": 9,
 }
 _DEFAULT_RANK = 5

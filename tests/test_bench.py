@@ -50,8 +50,14 @@ def test_cli_list(capsys):
     from repro.bench.__main__ import main
 
     assert main(["--list"]) == 0
-    out = capsys.readouterr().out
-    assert "fig6" in out and "table5" in out
+    listed = capsys.readouterr().out.split()
+    assert "fig6" in listed and "table5" in listed
+    # Performance numbers come from benchmarks/ladder/run.py only; the
+    # perf experiments this CLI once carried are unknown ids now.
+    removed = {"dispatch", "payload", "shard", "policy", "telemetry", "slo"}
+    assert not removed & set(listed)
+    with pytest.raises(SystemExit):
+        main(["dispatch"])
 
 
 def test_cli_rejects_unknown():

@@ -1,5 +1,6 @@
 """Unit tests for protocol framing, the file store, and sandboxes."""
 
+import os
 import socket
 import threading
 
@@ -8,6 +9,7 @@ import pytest
 from repro.engine.files import FileStore, VineFile
 from repro.engine.messages import Connection, connect, expect
 from repro.engine.sandbox import ARGS_FILE, RESULT_FILE, Sandbox
+from repro.engine.worker import Worker
 from repro.errors import EngineError, ProtocolError
 from repro.util.hashing import hash_bytes
 
@@ -115,6 +117,29 @@ def test_connect_over_tcp():
 def test_connect_refused():
     with pytest.raises(ProtocolError):
         connect("127.0.0.1", 1, timeout=0.5)  # port 1: nothing listening
+
+
+def test_worker_rejects_task_frame_without_code_size(tmp_path):
+    """A task frame is another process's input: validated, never guessed at."""
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    worker = Worker(
+        "127.0.0.1", server.getsockname()[1], name="w", workdir=str(tmp_path)
+    )
+    client, _ = server.accept()
+    manager_side = Connection(client, "manager")
+    try:
+        worker._on_task({"type": "task", "task_id": 7}, b"code and args in one blob")
+        reply, _ = manager_side.receive(timeout=5.0)
+    finally:
+        worker.shutdown()
+        manager_side.close()
+        server.close()
+    assert (reply["type"], reply["task_id"]) == ("task_failed", 7)
+    assert "code_size" in reply["error"]
+    assert worker.tasks == {}
+    assert os.listdir(worker.sandbox_root) == []
 
 
 # ------------------------------------------------------------------- file store

@@ -199,6 +199,52 @@ def test_declared_argument_round_trip_via_shm():
     assert not _segments()
 
 
+def test_copied_bytes_flat_while_mapped_bytes_scale():
+    """A warm declared argument costs a descriptor, whatever its size.
+
+    The zero-copy claim on exact counters: 64x more payload moves 64x
+    more *mapped* bytes per invocation and the same *copied* bytes.
+    """
+    n = 12
+    small, large = 64 * 1024, 4 * 1024 * 1024
+    copied_per_inv, mapped_per_inv = {}, {}
+    with Manager() as manager:
+        if manager.payloads is None:
+            pytest.skip("shared memory unavailable on this host")
+        copied = manager.metrics.counter("payload.bytes_copied")
+        mapped = manager.metrics.counter("payload.bytes_mapped")
+        library = manager.create_library_from_functions(
+            "payload-flat", _blob_len, function_slots=2
+        )
+        manager.install_library(library)
+        with LocalWorkerFactory(manager, count=1, cores=2):
+            for size in (small, large):
+                arg = manager.declare_argument(os.urandom(size))
+                assert arg.shm is not None
+                # First touch deploys the library and maps the segment;
+                # everything after it is the warm path under test.
+                prime = FunctionCall("payload-flat", "_blob_len", arg)
+                manager.submit(prime)
+                manager.wait_all([prime], timeout=120.0)
+                base_copied, base_mapped = copied.value, mapped.value
+                calls = [
+                    FunctionCall("payload-flat", "_blob_len", arg)
+                    for _ in range(n)
+                ]
+                for call in calls:
+                    manager.submit(call)
+                manager.wait_all(calls, timeout=120.0)
+                assert all(c.result == size for c in calls)
+                copied_per_inv[size] = (copied.value - base_copied) / n
+                mapped_per_inv[size] = (mapped.value - base_mapped) / n
+                manager.release_argument(arg)
+    assert 0 < max(copied_per_inv.values()) < 32 * 1024
+    assert max(copied_per_inv.values()) <= 1.10 * min(copied_per_inv.values())
+    assert small <= mapped_per_inv[small] < 2 * small
+    assert mapped_per_inv[large] >= large
+    assert not _segments()
+
+
 # ------------------------------------------------------- orphan cleanup
 def test_orphaned_segments_reaped_after_worker_kill():
     """Segments owned by a SIGKILLed process are reclaimed by name."""

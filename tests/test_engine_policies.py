@@ -487,6 +487,66 @@ def test_fair_share_weighted_drain_prefers_heavy_tenant():
     assert policy.next_dirty(state) == "libA"
 
 
+def _nap(x, seconds=0.0):
+    import time as _time
+
+    _time.sleep(seconds)
+    return x
+
+
+class _ArrivalOrder(SchedulingPolicy):
+    """The paper's placement rules with queues drained oldest-head first.
+
+    The control arm for the fair test.  ``reactive`` itself cannot serve:
+    it drains dirty queues in ``set.pop()`` order, so whether its mice
+    land before or after the hog depends on the process's hash seed.
+    """
+
+    name = "arrival-order"
+
+    def next_dirty(self, state):
+        queues = state.pending_invocations
+        return min(
+            (name for name in state.dirty_libraries if queues.get(name)),
+            key=lambda name: queues[name][0].id,
+            default=None,
+        )
+
+
+def _mice_before_last_hog_dispatch(policy) -> bool:
+    """Run a 16-call hog burst, then one call from each of three mice.
+
+    Two one-core seats, one-slot libraries, one tenant per library; True
+    when every mouse was dispatched before the hog's last call was.
+    """
+    with Manager(policy=policy) as manager:
+        for name in ("hog", "mouse-0", "mouse-1", "mouse-2"):
+            manager.install_library(
+                manager.create_library_from_functions(name, _nap, function_slots=1)
+            )
+        hog = [FunctionCall("hog", "_nap", i, 0.3) for i in range(16)]
+        mice = [FunctionCall(f"mouse-{i}", "_nap", i) for i in range(3)]
+        with LocalWorkerFactory(manager, count=1, cores=2):
+            for call in [*hog, *mice]:
+                manager.submit(call)
+            manager.wait_all([*hog, *mice], timeout=180.0)
+    assert [c.result for c in [*hog, *mice]] == [*range(16), *range(3)]
+    last_hog = max(c.timeline["dispatched"] for c in hog)
+    return all(c.timeline["dispatched"] < last_hog for c in mice)
+
+
+def test_fair_admission_serves_mice_before_the_hog_drains():
+    """Fair admission end to end, judged by dispatch rank, not by time.
+
+    While a mouse waits the hog is capped at one seat, so the three mice
+    rotate through the other long before the hog's sixteenth dispatch.
+    Draining in arrival order instead hands the hog both seats and the
+    mice run last, so a fair policy that degraded to FIFO fails here.
+    """
+    assert _mice_before_last_hog_dispatch("fair")
+    assert not _mice_before_last_hog_dispatch(_ArrivalOrder())
+
+
 # =======================================================================
 # cache keep-alive (retain) hook
 # =======================================================================

@@ -149,6 +149,34 @@ def test_cancel_queued_true_dispatched_false(router):
     assert router.cancel(calls[0]) is False
 
 
+# ------------------------------------------------------------- concurrency
+# Kept after the cancel test: that one polls the ~1 Hz shard status for
+# ``running > 0`` and would take this test's sleepers for its own.
+def test_two_shards_run_at_once(router):
+    """Invocations homed on different shards execute concurrently."""
+    # These two names split across a two-shard HashRing(replicas=64).
+    names = ("shardbench-0", "shardbench-3")
+    for name in names:
+        router.install_library(
+            router.create_library_from_functions(name, _nap, function_slots=1)
+        )
+    warmup = [FunctionCall(name, "_nap", 0, 0.0) for name in names]
+    calls = [FunctionCall(name, "_nap", 1, 1.0) for name in names]
+    for batch in (warmup, calls):
+        for call in batch:
+            router.submit(call)
+        routed_to = {router._task_shard[call.id] for call in batch}
+        router.wait_all(batch, timeout=120.0)
+    assert routed_to == {router._libraries[name].home for name in names}
+    assert len(routed_to) == 2
+    assert [c.result for c in calls] == [1, 1]
+    # One slot each and a 1 s sleep: the [dispatched, completed] windows
+    # can only overlap if both shards were executing at the same time.
+    latest_start = max(c.timeline["dispatched"] for c in calls)
+    earliest_end = min(c.timeline["completed"] for c in calls)
+    assert latest_start < earliest_end
+
+
 # --------------------------------------------------------------- shard loss
 def test_shard_loss_rehomes_library_and_retries_with_blame():
     with Router(shards=3, workers_per_shard=1, worker_cores=2) as r:

@@ -95,10 +95,10 @@ def test_sharded_simulation_at_cluster_scale():
 
 def test_sharding_beats_one_manager_on_slot_bound_work():
     # Same workload, same per-shard fleet: four shards' slowest-shard
-    # makespan must beat one manager working the whole thing alone —
-    # the sim-scale version of the BENCH_shard.json gate.  Long library
-    # streams so warm reuse amortizes cold starts; at short streams the
-    # straggler shard's cold-start fraction can eat the parallelism win.
+    # makespan must beat one manager working the whole thing alone.
+    # Long library streams so warm reuse amortizes cold starts; at short
+    # streams the straggler shard's cold-start fraction can eat the
+    # parallelism win.
     wl = sharded_workload(n_libraries=16, invocations_per_library=256)
     single = run_sharded_simulation(wl, n_shards=1, workers_per_shard=64)
     sharded = run_sharded_simulation(wl, n_shards=4, workers_per_shard=64)
