@@ -38,6 +38,12 @@ tree_before="$(tree_state)"
 # One scheduler path: every decision site asks the policy object; none
 # may branch on its absence again.
 if grep -nE 'policy is (not )?None' src/repro/engine/{scheduling,manager,router}.py; then echo "FAIL: a policy-is-None scheduler branch is back"; exit 1; fi
+# One event loop: engine/loop.py owns the only selector, and only
+# messages.py may look inside a Connection's receive buffer.
+if grep -nE 'select\.select\(|\._recv_buffer|\._recv_pos' src/repro/engine/*.py | grep -v '^src/repro/engine/messages\.py:' \
+    || grep -nE 'selectors\.DefaultSelector\(' src/repro/engine/*.py | grep -v '^src/repro/engine/loop\.py:'; then
+    echo "FAIL: a hand-rolled selector loop is back; repro/engine/loop.py is the one event loop"; exit 1
+fi
 # One perf harness: no committed baseline files, no regression floors.
 # (Last letters bracketed so the pattern cannot match this script.)
 if grep -rnIE --exclude-dir=out 'floor_rati[o]|REPRO_WRITE_BASELIN[E]' src scripts tests examples benchmarks || compgen -G 'BENCH_*.json'; then echo "FAIL: the baseline-file perf harness is back; benchmarks/ladder/run.py is the one benchmark"; exit 1; fi

@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import collections
 import os
-import selectors
 import socket
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set
 
 from repro.discover.context import FunctionContext, discover_context
@@ -56,6 +56,7 @@ from repro.discover.packaging import pack_environment
 from repro.distribute.topology import TransferMode
 from repro.engine import messages, payloads
 from repro.engine.files import FileStore, VineFile
+from repro.engine.loop import EventLoop
 from repro.engine.policies import SchedulingPolicy, resolve_policy
 from repro.engine.resources import Resources
 from repro.engine.scheduling import LibraryInstance, Placement, ShardState
@@ -71,7 +72,6 @@ from repro.engine.task import (
 from repro.errors import (
     EngineError,
     LibraryError,
-    ProtocolError,
     SerializationError,
     TaskFailure,
     TaskRetryExhausted,
@@ -98,7 +98,6 @@ class _WorkerLink:
     status: Dict[str, Any] = field(default_factory=dict)  # last status report
     last_seen: float = 0.0  # monotonic stamp of the last received frame
     shm: bool = False  # worker shares the manager's shared-memory domain
-    write_interest: bool = False  # selector currently watches for writability
 
 
 @dataclass
@@ -186,7 +185,6 @@ class Manager:
         self.max_retries = max_retries
         self.retry_backoff = max(0.0, retry_backoff)
         self.retry_backoff_max = max(0.0, retry_backoff_max)
-        self._next_liveness_check = 0.0
         if workdir is None:
             workdir = tempfile.mkdtemp(prefix="repro-manager-")
         self.workdir = workdir
@@ -196,13 +194,18 @@ class Manager:
         # router runs N managers, each owning one independent ShardState.
         self.state = ShardState(policy=self.policy)
         self.placement = self.state.placement
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", port))
-        self._listener.listen(64)
-        self._listener.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ, ("accept", None))
+        self._listener = socket.create_server(("127.0.0.1", port), backlog=64)
+        # Timers run after an iteration's I/O: a healthy worker always has
+        # heartbeats queued on its socket, so even if the manager itself
+        # stalled past the deadline, those refresh last_seen first and
+        # only truly silent workers expire.
+        self.loop = EventLoop()
+        self.loop.add_listener(self._listener, self._accept_worker)
+        self.loop.call_every(0.2, self._maybe_prewarm)
+        if liveness_deadline is not None:
+            self.loop.call_every(
+                min(1.0, liveness_deadline / 4.0), self._check_liveness
+            )
         self._workers: Dict[str, _WorkerLink] = {}
         self._libraries: Dict[str, LibraryTask] = {}
         self._instances: Dict[int, _InstanceRecord] = {}
@@ -228,7 +231,6 @@ class Manager:
         # instance ids deployed speculatively by the prewarm tick; the
         # first invocation each one catches counts as a prewarm hit.
         self._prewarmed: Set[int] = set()
-        self._next_prewarm = 0.0
         # invocation task id -> instance id, for cold dispatches only:
         # lets task_cost attribute the instance's deploy overhead
         # (env_setup) to the invocation that paid the cold start.
@@ -251,7 +253,7 @@ class Manager:
         self._declared_args: Dict[str, Any] = {}
         # Structured lifecycle tracing (no-op unless REPRO_TRACE is set).
         # Remote events piggyback on worker frames and are absorbed in
-        # _handle_one_worker_message, so this tracer's ring holds the
+        # _on_worker_frame, so this tracer's ring holds the
         # merged manager+worker+library view.
         self.tracer = get_tracer("manager")
         self.placement.tracer = self.tracer
@@ -580,8 +582,7 @@ class Manager:
             worker = task.worker
             if worker in self._workers:
                 link = self._workers[worker]
-                link.conn.send_buffered({"type": "cancel", "task_id": task.id})
-                self._flush_link(link)
+                self.loop.send(link.conn, {"type": "cancel", "task_id": task.id})
                 self.stats["cancelled"] += 1
                 return True
         return False
@@ -733,24 +734,9 @@ class Manager:
         if self.status_server is not None:
             self.status_server.stop()
         for link in list(self._workers.values()):
-            try:
-                # Best-effort final drain of anything still queued, then
-                # the shutdown frame — back in blocking mode, since the
-                # event loop is over.
-                link.conn.blocking_send = True
-                link.conn.send({"type": "shutdown"})
-            except Exception:
-                pass
-            try:
-                self._selector.unregister(link.conn.sock)
-            except (KeyError, ValueError):
-                pass
-            link.conn.close()
+            self.loop.dismiss(link.conn, {"type": "shutdown"})
         self._workers.clear()
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
+        self.loop.close()
         self._listener.close()
         if self.payloads is not None:
             self.payloads.close()
@@ -767,40 +753,17 @@ class Manager:
     # ----------------------------------------------------------- event loop
     def _advance(self, timeout: float) -> None:
         self._dispatch()
-        events = self._selector.select(timeout=timeout)
-        for key, mask in events:
-            kind, ref = key.data
-            if kind == "accept":
-                self._accept_worker()
-            elif kind == "worker":
-                if mask & selectors.EVENT_READ:
-                    self._handle_worker_message(ref)
-                if (
-                    mask & selectors.EVENT_WRITE
-                    and ref.name in self._workers
-                    and ref.conn.pending_out
-                ):
-                    self._flush_link(ref)
+        self.loop.run_once(timeout)
         now = time.monotonic()
         if self.state.take_backoff_wakeup(now):
             self.state.wake_all()  # backed-off tasks are redispatchable again
-        if now >= self._next_prewarm:
-            self._next_prewarm = now + 0.2
-            self._maybe_prewarm(now)
-        # Liveness runs AFTER the event drain: a healthy worker always has
-        # heartbeats queued on its socket, so even if the manager itself
-        # stalled past the deadline, processing those first refreshes
-        # last_seen and only truly silent workers expire.
-        self._check_liveness(now)
         # One no-op call when telemetry is off; when on, the snapshot
         # builder only runs every perflog_interval seconds.
         self.perflog.maybe_sample(now, self._perflog_snapshot)
 
-    def _check_liveness(self, now: float) -> None:
+    def _check_liveness(self) -> None:
         deadline = self.liveness_deadline
-        if deadline is None or now < self._next_liveness_check:
-            return
-        self._next_liveness_check = now + min(1.0, deadline / 4.0)
+        now = time.monotonic()
         expired = [
             link
             for link in self._workers.values()
@@ -816,12 +779,7 @@ class Manager:
             self.stats["liveness_expirations"] += 1
             self._worker_lost(link)
 
-    def _accept_worker(self) -> None:
-        try:
-            sock, _ = self._listener.accept()
-        except BlockingIOError:
-            return
-        sock.setblocking(True)
+    def _accept_worker(self, sock: socket.socket) -> None:
         conn = messages.Connection(sock, name="worker?")
         try:
             hello, _ = conn.receive(timeout=10.0)
@@ -852,15 +810,18 @@ class Manager:
         except Exception:
             conn.close()
             return
-        # Handshake done: this link joins the event loop, so sends become
-        # queue-and-drain — one slow worker can no longer stall the rest.
-        conn.blocking_send = False
         self._workers[name] = link
         self.placement.add_worker(name, resources)
         self.perflog.transition("worker_join", worker=name)
         self.log.info("worker %s joined (%s)", name, resources)
-        self._selector.register(conn.sock, selectors.EVENT_READ, ("worker", link))
         self.state.wake_all()  # new capacity: every blocked queue is worth a visit
+        # Handshake done: the link joins the event loop, where neither a
+        # slow reader nor a peer stalled mid-frame can hold up the rest.
+        self.loop.add_connection(
+            conn,
+            partial(self._on_worker_frame, link),
+            lambda reason: self._worker_lost(link),
+        )
 
     # -------------------------------------------------------------- dispatch
     def _dispatch(self) -> None:
@@ -1011,27 +972,7 @@ class Manager:
                 self.stats["batched_invocations"] += len(entries)
         for link in list(self._workers.values()):
             if link.conn.pending_out:
-                self._flush_link(link)
-
-    def _set_write_interest(self, link: _WorkerLink, want: bool) -> None:
-        """Watch (or stop watching) ``link``'s socket for writability."""
-        if link.write_interest == want:
-            return
-        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if want else 0)
-        try:
-            self._selector.modify(link.conn.sock, events, ("worker", link))
-        except (KeyError, ValueError):
-            return  # already unregistered (worker lost)
-        link.write_interest = want
-
-    def _flush_link(self, link: _WorkerLink) -> None:
-        """Drain what the kernel will take; arm EVENT_WRITE for the rest."""
-        try:
-            drained = link.conn.flush()
-        except ProtocolError:
-            self._worker_lost(link)
-            return
-        self._set_write_interest(link, not drained)
+                self.loop.flush(link.conn)
 
     def _link_for(self, worker: str) -> _WorkerLink:
         link = self._workers.get(worker)
@@ -1341,10 +1282,10 @@ class Manager:
             instance=inst.instance_id,
         )
 
-    def _maybe_prewarm(self, now: float) -> None:
+    def _maybe_prewarm(self) -> None:
         """Pre-stage library instances ahead of forecast demand.
 
-        Runs on the policy tick (every 0.2 s in ``_advance``): whatever
+        Runs on the policy tick (a 0.2 s loop timer): whatever
         the active policy forecasts as imminent-but-undeployed gets one
         speculative deploy, counted in ``policy.prewarms``; the first
         invocation such an instance catches counts a prewarm hit, so
@@ -1358,7 +1299,7 @@ class Manager:
         if any(self.state.pending_invocations.values()):
             return
         for name in self.policy.prewarm_candidates(
-            self.placement, self._libraries, now
+            self.placement, self._libraries, time.monotonic()
         ):
             library = self._libraries.get(name)
             if library is None:
@@ -1430,19 +1371,9 @@ class Manager:
         return True
 
     # ---------------------------------------------------------- worker events
-    def _handle_worker_message(self, link: _WorkerLink) -> None:
-        self._handle_one_worker_message(link)
-        # Drain frames already read ahead into the connection buffer —
-        # they will never trigger another selector wakeup.
-        while link.name in self._workers and link.conn.pending_bytes:
-            self._handle_one_worker_message(link)
-
-    def _handle_one_worker_message(self, link: _WorkerLink) -> None:
-        try:
-            message, payload = link.conn.receive(timeout=10.0)
-        except Exception:
-            self._worker_lost(link)
-            return
+    def _on_worker_frame(
+        self, link: _WorkerLink, message: Dict[str, Any], payload: bytes
+    ) -> None:
         link.last_seen = time.monotonic()
         piggyback = message.get(messages.TRACE_KEY)
         if piggyback:
@@ -1785,10 +1716,7 @@ class Manager:
 
     def _worker_lost(self, link: _WorkerLink) -> None:
         """Fault tolerance: requeue the lost worker's in-flight work."""
-        try:
-            self._selector.unregister(link.conn.sock)
-        except (KeyError, ValueError):
-            pass
+        self.loop.remove(link.conn)
         link.conn.close()
         if self._workers.pop(link.name, None) is None:
             return  # double loss (socket error racing a liveness expiry)

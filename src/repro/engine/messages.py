@@ -15,15 +15,16 @@ Two hot-path mechanisms keep small control frames cheap:
   buffers, so a dispatch round that stages files and invocations for a
   worker costs one syscall instead of one per message and zero joins
   (``send`` is ``send_buffered`` + ``flush``, and always drains
-  previously buffered frames first, preserving order).  Setting
-  ``blocking_send = False`` turns ``flush`` into a non-blocking drain:
-  it sends what the kernel will take, keeps the rest queued, and
-  returns ``False`` so an event loop can wait for writability instead
-  of stalling every peer behind one slow socket;
-* *buffered receives* — ``_recv_exact`` reads the socket in large
-  chunks into a ``bytearray`` and serves exact slices through a
-  ``memoryview``, so unpacking a burst of small frames does not copy
-  the receive buffer once per slice.
+  previously buffered frames first, preserving order).  On a socket the
+  event loop (``repro.engine.loop``) has made non-blocking, ``flush``
+  sends what the kernel will take, keeps the rest queued, and returns
+  ``False`` so the loop can wait for writability instead of stalling
+  every peer behind one slow socket;
+* *incremental receives* — ``fill`` reads the socket in large chunks
+  into a ``bytearray`` and ``next_frame`` parses complete frames out of
+  it, keeping a partial tail for the next call; neither blocks.  The
+  blocking ``receive(timeout=)`` of handshakes and library processes is
+  the same parser behind a socket timeout.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ HEARTBEAT_FIELDS = (
     "payload_bytes_mapped",  # result/argument bytes handed off via shm
 )
 _RECV_CHUNK = 1 << 16  # read ahead in 64 KiB chunks; leftovers stay buffered
-_COMPACT_AT = 1 << 20  # drop consumed prefix once it exceeds 1 MiB
 _IOV_MAX = 64  # buffers per sendmsg call (well under every platform's IOV_MAX)
 
 Payload = Union[bytes, bytearray, memoryview, Iterable[bytes]]
@@ -80,10 +80,10 @@ Payload = Union[bytes, bytearray, memoryview, Iterable[bytes]]
 class Connection:
     """A framed-message connection over a stream socket.
 
-    Sends are blocking by default (handshakes, library links); an event
-    loop flips ``blocking_send`` off to get queue-and-drain semantics.
-    Receives support an optional timeout.  The connection tracks byte
-    counters so benchmarks can report bytes moved per hop.
+    ``send`` and ``receive`` block (handshakes, library processes); the
+    event loop makes the socket non-blocking and uses ``send_buffered``
+    + ``flush`` and ``fill`` + ``next_frame`` instead.  The connection
+    tracks byte counters so benchmarks can report bytes moved per hop.
     """
 
     def __init__(self, sock: socket.socket, name: str = "?"):
@@ -91,9 +91,10 @@ class Connection:
         self.name = name
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.blocking_send = True
         self._recv_buffer = bytearray()
-        self._recv_pos = 0
+        self._recv_pos = 0  # start of the first unparsed byte
+        self._recv_need = _HDR  # unparsed bytes the frame in progress needs
+        self._header: Optional[Dict[str, Any]] = None  # decoded; payload pending
         self._outbound: Deque[memoryview] = deque()
         self._out_bytes = 0
         if sock.family in (socket.AF_INET, socket.AF_INET6):
@@ -101,16 +102,6 @@ class Connection:
 
     def fileno(self) -> int:
         return self.sock.fileno()
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes already read ahead into the receive buffer.
-
-        Event loops MUST drain messages while this is non-zero after a
-        readable event: buffered frames generate no further selector
-        wakeups.
-        """
-        return len(self._recv_buffer) - self._recv_pos
 
     @property
     def pending_out(self) -> int:
@@ -174,14 +165,15 @@ class Connection:
     def flush(self) -> bool:
         """Drain the outbound queue; returns ``True`` once empty.
 
-        Blocking mode loops until everything is out.  Non-blocking mode
-        (``blocking_send = False``) sends what it can and returns
-        ``False`` if bytes remain — the caller's event loop should then
-        watch the socket for writability and call ``flush`` again.
+        Loops until everything is out, unless the socket is non-blocking
+        (it has joined the event loop): then it sends what it can and
+        returns ``False`` if bytes remain — the loop watches the socket
+        for writability and calls ``flush`` again.
         """
         if not self._outbound:
             return True
-        self.sock.settimeout(None if self.blocking_send else 0)
+        if self.sock.gettimeout() != 0:
+            self.sock.settimeout(None)  # drop a handshake's receive timeout
         while self._outbound:
             if not self._send_once():
                 return False
@@ -192,81 +184,88 @@ class Connection:
         self.flush()
 
     # -- receiving -------------------------------------------------------
-    def _recv_exact(self, n: int, timeout: Optional[float]) -> bytes:
-        """Serve exactly ``n`` bytes from the read-ahead buffer, growing
-        it from the socket as needed.  Consumed bytes stay in the buffer
-        (only ``_recv_pos`` advances) so ``receive`` can rewind a
-        partially-read message on timeout."""
-        self.sock.settimeout(timeout)
-        buf = self._recv_buffer
-        while len(buf) - self._recv_pos < n:
-            want = max(_RECV_CHUNK, n - (len(buf) - self._recv_pos))
-            try:
-                chunk = self.sock.recv(min(want, 1 << 20))
-            except socket.timeout:
-                raise TimeoutError(f"recv from {self.name} timed out") from None
-            except OSError as exc:
-                raise ProtocolError(f"recv from {self.name} failed: {exc}") from exc
-            if not chunk:
-                raise ProtocolError(f"connection to {self.name} closed mid-message")
-            buf += chunk
-        pos = self._recv_pos
-        self._recv_pos = pos + n
-        self.bytes_received += n
-        return bytes(memoryview(buf)[pos:pos + n])
-
-    def _compact(self) -> None:
-        """Reclaim the consumed prefix between complete messages."""
-        if self._recv_pos == len(self._recv_buffer):
-            del self._recv_buffer[:]
-            self._recv_pos = 0
-        elif self._recv_pos > _COMPACT_AT:
-            del self._recv_buffer[:self._recv_pos]
-            self._recv_pos = 0
-
-    def receive(
-        self, timeout: Optional[float] = None
-    ) -> Tuple[Dict[str, Any], bytes]:
-        """Receive one message; returns (message, payload).
-
-        A ``TimeoutError`` mid-message rewinds to the message start, so
-        polling callers (short timeouts) can simply retry without
-        desynchronizing the frame stream.
+    def fill(self) -> bool:
+        """One ``recv`` into the read-ahead buffer: a 64 KiB chunk, or the
+        rest of the frame in progress when that is larger.  ``False``
+        when nothing arrived (non-blocking socket empty, or timed out).
         """
-        start = self._recv_pos
+        missing = self._recv_need - (len(self._recv_buffer) - self._recv_pos)
         try:
-            header = self._recv_exact(_HDR, timeout)
-            length = int.from_bytes(header, "big")
+            chunk = self.sock.recv(min(max(_RECV_CHUNK, missing), 1 << 20))
+        except (BlockingIOError, InterruptedError, socket.timeout):
+            return False
+        except OSError as exc:
+            raise ProtocolError(f"recv from {self.name} failed: {exc}") from exc
+        if not chunk:
+            raise ProtocolError(f"connection to {self.name} closed mid-message")
+        self._recv_buffer += chunk
+        self.bytes_received += len(chunk)
+        return True
+
+    def next_frame(self) -> Optional[Tuple[Dict[str, Any], bytes]]:
+        """Parse one complete frame out of the read-ahead buffer; ``None``
+        when it ends mid-frame.  The partial tail stays put, and a header
+        already decoded is kept, not re-parsed, while its payload arrives.
+        """
+        buf = self._recv_buffer
+        pos = self._recv_pos
+        message = self._header
+        if message is None:
+            if len(buf) - pos < _HDR:
+                return self._park(_HDR)
+            length = int.from_bytes(buf[pos:pos + _HDR], "big")
             if length > MAX_MESSAGE:
                 raise ProtocolError(f"oversized frame announced: {length}")
-            blob = self._recv_exact(length, timeout)
+            end = pos + _HDR + length
+            if len(buf) < end:
+                return self._park(_HDR + length)
             try:
-                message = json.loads(blob.decode("utf-8"))
+                message = json.loads(str(memoryview(buf)[pos + _HDR:end], "utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ProtocolError(
                     f"bad JSON frame from {self.name}: {exc}"
                 ) from exc
             if not isinstance(message, dict) or "type" not in message:
                 raise ProtocolError(f"frame from {self.name} lacks a type")
-            payload_size = int(message.get("payload_size", 0))
-            payload = self._recv_exact(payload_size, timeout) if payload_size else b""
-        except TimeoutError:
-            # Rewind to the message start — but first reclaim the
-            # consumed prefix if it dominates the buffer.  Without this,
-            # a long-lived polling connection that parks on a partial
-            # trailing frame (common while a large payload trickles in)
-            # pins every previously-drained byte below _COMPACT_AT in a
-            # stale bytearray.  Compacting only when the prefix is at
-            # least as large as the retained tail keeps the memmove
-            # amortized O(1) per byte received.
-            if start and len(self._recv_buffer) - start <= start:
-                del self._recv_buffer[:start]
-                self._recv_pos = 0
-            else:
-                self._recv_pos = start
-            raise
-        self._compact()
+            pos = self._recv_pos = end
+        size = message.get("payload_size", 0)
+        if not isinstance(size, int) or size < 0:
+            raise ProtocolError(f"bad payload_size from {self.name}")
+        if len(buf) - pos < size:
+            self._header = message
+            return self._park(size)
+        payload = bytes(memoryview(buf)[pos:pos + size]) if size else b""
+        self._header = None
+        self._recv_pos = pos + size
+        self._park(_HDR)
         return message, payload
+
+    def _park(self, need: int) -> None:
+        """Note how many unparsed bytes the frame in progress needs, and
+        drop the consumed prefix once it is at least as large as the
+        unread tail — a memmove amortised to O(1) per byte received, so
+        a long-lived connection never pins drained bytes."""
+        self._recv_need = need
+        pos = self._recv_pos
+        if pos and len(self._recv_buffer) - pos <= pos:
+            del self._recv_buffer[:pos]
+            self._recv_pos = 0
+
+    def receive(
+        self, timeout: Optional[float] = None
+    ) -> Tuple[Dict[str, Any], bytes]:
+        """Block until one message arrives; returns (message, payload).
+
+        A ``TimeoutError`` mid-message leaves the partial frame
+        buffered, so polling callers (short timeouts) simply retry.
+        """
+        self.sock.settimeout(timeout)
+        while True:
+            frame = self.next_frame()
+            if frame is not None:
+                return frame
+            if not self.fill():
+                raise TimeoutError(f"recv from {self.name} timed out")
 
     def close(self) -> None:
         try:

@@ -44,18 +44,19 @@ from __future__ import annotations
 import collections
 import itertools
 import os
-import selectors
 import socket
 import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set
 
 from repro.discover.context import DataBinding, discover_context
 from repro.distribute.plan import plan_broadcast
 from repro.distribute.topology import Topology, TransferMode
 from repro.engine import messages, payloads
+from repro.engine.loop import EventLoop
 from repro.engine.policies import SchedulingPolicy, resolve_policy
 from repro.engine.resources import Resources
 from repro.engine.scheduling import HashRing
@@ -175,7 +176,6 @@ class Router:
         spawn: bool = True,
         policy: "str | SchedulingPolicy | None" = None,
         status_port: Optional[int] = None,
-        federate: Optional[bool] = None,
     ):
         if shards < 1:
             raise EngineError("router needs at least one shard")
@@ -193,13 +193,10 @@ class Router:
         self._owns_workdir = workdir is None
         self.workdir = workdir or tempfile.mkdtemp(prefix="repro-router-")
         os.makedirs(self.workdir, exist_ok=True)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(16)
-        self._listener.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ, ("accept", None))
+        self._listener = socket.create_server(("127.0.0.1", 0), backlog=16)
+        self.loop = EventLoop()
+        self.loop.add_listener(self._listener, self._accept_shard)
+        self.loop.call_every(1.0, self._reap_exited_shards)
         self.ring = HashRing(replicas=64)
         self._shards: Dict[str, _ShardLink] = {}
         self._libraries: Dict[str, _LibraryRecord] = {}
@@ -228,14 +225,12 @@ class Router:
         self._trace_ids: Dict[int, str] = {}
         # Metrics federation: shards push full registry snapshots on
         # their status frames and the router's own /metrics + /status
-        # serve the merged per-shard + cluster-rollup view.  On by
-        # default whenever the router runs a status server.
+        # serve the merged per-shard + cluster-rollup view.  On exactly
+        # when the router runs a status server.
         resolved_port = (
             status_port if status_port is not None else _env_status_port()
         )
-        self.federate = (
-            bool(federate) if federate is not None else resolved_port is not None
-        )
+        self.federate = resolved_port is not None
         self.status_server: Optional[StatusServer] = None
         if resolved_port is not None:
             self.status_server = StatusServer(
@@ -320,7 +315,7 @@ class Router:
                 raise EngineError(
                     f"shards failed to register: {sorted(pending)}\n{details}"
                 )
-            self._advance(0.1)
+            self.loop.run_once(0.1)
             for name in list(pending):
                 if name in self._shards:
                     self._shards[name].proc = pending.pop(name)
@@ -617,7 +612,7 @@ class Router:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return None
-            self._advance(min(remaining, 0.05))
+            self.loop.run_once(min(remaining, 0.05))
 
     def wait_all(self, tasks: Iterable[Task], timeout: float = 60.0) -> List[Task]:
         """Wait until every task reaches a terminal state."""
@@ -636,7 +631,7 @@ class Router:
                 return wanted
             if time.monotonic() > deadline:
                 raise EngineError("wait_all timed out")
-            self._advance(0.05)
+            self.loop.run_once(0.05)
 
     def cancel(self, task: Task, timeout: float = 10.0) -> bool:
         """Best-effort cancellation, same contract as ``Manager.cancel``:
@@ -657,25 +652,13 @@ class Router:
         return ok
 
     # ------------------------------------------------------------ event loop
-    def _advance(self, timeout: float) -> None:
-        events = self._selector.select(timeout=timeout)
-        for key, _ in events:
-            kind, link = key.data
-            if kind == "accept":
-                self._accept_shard()
-            else:
-                self._drain_shard(link)
-        # Reap shards whose process died without a clean socket close.
+    def _reap_exited_shards(self) -> None:
+        """Lose shards whose process died without a clean socket close."""
         for link in list(self._shards.values()):
             if link.proc is not None and link.proc.poll() is not None:
                 self._shard_lost(link, f"process exited {link.proc.returncode}")
 
-    def _accept_shard(self) -> None:
-        try:
-            sock, _ = self._listener.accept()
-        except BlockingIOError:
-            return
-        sock.setblocking(True)
+    def _accept_shard(self, sock: socket.socket) -> None:
         conn = messages.Connection(sock, name="shard?")
         try:
             hello, _ = conn.receive(timeout=10.0)
@@ -702,32 +685,20 @@ class Router:
             return
         self._shards[name] = link
         self.ring.add(name)
-        self._selector.register(conn.sock, selectors.EVENT_READ, ("shard", link))
+        self.loop.add_connection(
+            conn, partial(self._on_shard_frame, link), partial(self._shard_lost, link)
+        )
         self.log.info("shard %s joined (pid %s)", name, link.pid)
         # Late joiner: give it the declared arguments so routing there
         # is always legal.
         for digest, blob in self._declared.items():
             self._send(link, {"type": "declare", "digest": digest, "size": len(blob)}, blob)
 
-    def _drain_shard(self, link: _ShardLink) -> None:
-        import select as _select
-
-        while True:
-            try:
-                r, _, _ = _select.select([link.conn.sock], [], [], 0)
-                buffered = len(link.conn._recv_buffer) > link.conn._recv_pos
-                if not r and not buffered:
-                    return
-                message, payload = link.conn.receive(timeout=1.0)
-            except TimeoutError:
-                return
-            except Exception as exc:
-                self._shard_lost(link, str(exc))
-                return
-            try:
-                self._handle_frame(link, message, payload)
-            except Exception:
-                self.log.exception("error handling %s from %s", message.get("type"), link.name)
+    def _on_shard_frame(self, link: _ShardLink, message: dict, payload: bytes) -> None:
+        try:
+            self._handle_frame(link, message, payload)
+        except Exception:
+            self.log.exception("error handling %s from %s", message.get("type"), link.name)
 
     def _handle_frame(self, link: _ShardLink, message: dict, payload: bytes) -> None:
         mtype = message.get("type")
@@ -787,7 +758,7 @@ class Router:
         while key not in self._acks:
             if time.monotonic() > deadline:
                 raise EngineError(f"shard did not acknowledge {key!r}")
-            self._advance(0.05)
+            self.loop.run_once(0.05)
             if key[0] in ("library", "staged") and key[1] not in self._shards:
                 raise EngineError(f"shard {key[1]} lost before acknowledging {key!r}")
         return self._acks.pop(key)
@@ -877,10 +848,7 @@ class Router:
         del self._shards[link.name]
         if link.name in self.ring:
             self.ring.remove(link.name)
-        try:
-            self._selector.unregister(link.conn.sock)
-        except (KeyError, ValueError):
-            pass
+        self.loop.remove(link.conn)
         link.conn.close()
         if link.proc is not None and link.proc.poll() is None:
             link.proc.terminate()
@@ -931,11 +899,11 @@ class Router:
 
     # -------------------------------------------------------------- plumbing
     def _send(self, link: _ShardLink, message: dict, payload: bytes = b"") -> None:
-        try:
-            link.conn.send(message, payload)
-        except Exception as exc:
-            self._shard_lost(link, f"send failed: {exc}")
-            raise EngineError(f"shard {link.name} lost while sending") from exc
+        """Queue a frame for ``link``; never blocks on a slow shard.  A
+        send the kernel refuses outright loses the shard on the spot."""
+        self.loop.send(link.conn, message, payload)
+        if link.name not in self._shards:
+            raise EngineError(f"shard {link.name} lost while sending")
 
     def _check_open(self) -> None:
         if self._closed:
@@ -949,10 +917,7 @@ class Router:
             self.status_server.stop()
             self.status_server = None
         for link in list(self._shards.values()):
-            try:
-                link.conn.send({"type": "shutdown"})
-            except Exception:
-                pass
+            self.loop.dismiss(link.conn, {"type": "shutdown"})
         deadline = time.monotonic() + 10.0
         for link in list(self._shards.values()):
             if link.proc is None:
@@ -967,14 +932,8 @@ class Router:
                 except subprocess.TimeoutExpired:
                     link.proc.kill()
                     link.proc.wait(timeout=5.0)
-        for link in list(self._shards.values()):
-            try:
-                self._selector.unregister(link.conn.sock)
-            except (KeyError, ValueError):
-                pass
-            link.conn.close()
         self._shards.clear()
-        self._selector.close()
+        self.loop.close()
         self._listener.close()
         if self._owns_workdir:
             import shutil

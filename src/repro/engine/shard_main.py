@@ -19,17 +19,17 @@ frames:
   re-declares from the blob and keeps a digest → local-handle map).
 * ``cancel`` — withdraw a queued task; answers ``cancel_result``.
 
-The loop interleaves ``select`` on the router socket with
-``manager._advance`` ticks, so shard-local dispatch keeps flowing while
-the router is idle.  The router socket uses ``select`` + a buffered
-check before ``receive`` (``receive(timeout=0)`` is not pollable).
+The router connection is one more peer of the shard manager's event
+loop (``repro.engine.loop``), next to the worker links: a submission
+wakes an idle shard the moment it arrives, replies to the router are
+queued and drained like any other send, and the ~1 Hz status frame is a
+timer on the same loop.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import select
 import socket
 import sys
 import threading
@@ -200,43 +200,34 @@ class Shard:
         self._trace_ctx: Dict[int, Dict[str, Any]] = {}  # local id -> trace ctx
         self._args: Dict[str, payloads.PayloadArg] = {}  # router digest -> local
         self._running = True
-        self._last_status = 0.0
 
     # ------------------------------------------------------------ main loop
     def run(self) -> int:
         with self.manager, self.factory:
+            self.manager.loop.add_connection(
+                self.conn, self._on_router_frame, self._on_router_lost
+            )
+            self.manager.loop.call_every(1.0, self._send_status)
             while self._running:
-                advanced = self._drain_router()
-                self.manager._advance(0.0 if advanced else 0.02)
+                self.manager._advance(0.05)
                 self._ship_completed()
-                self._maybe_status()
             return 0
 
-    def _drain_router(self) -> bool:
-        handled = False
-        while True:
-            try:
-                r, _, _ = select.select([self.conn.sock], [], [], 0)
-                buffered = len(self.conn._recv_buffer) > self.conn._recv_pos
-                if not r and not buffered:
-                    return handled
-                message, payload = self.conn.receive(timeout=1.0)
-            except TimeoutError:
-                return handled
-            except Exception as exc:
-                self.log.warning("router connection lost (%s); shutting down", exc)
-                self._running = False
-                return handled
-            handled = True
-            try:
-                self._handle(message, payload)
-            except Exception as exc:
-                self.log.exception("error handling %s", message.get("type"))
-                try:
-                    self.conn.send({"type": "error", "error": str(exc)})
-                except Exception:
-                    self._running = False
-                    return handled
+    def _send(self, message: dict, payload: bytes = b"") -> None:
+        # Once the router is gone or has said shutdown it is owed nothing.
+        if self._running:
+            self.manager.loop.send(self.conn, message, payload)
+
+    def _on_router_lost(self, reason: str) -> None:
+        self.log.warning("router connection lost (%s); shutting down", reason)
+        self._running = False
+
+    def _on_router_frame(self, message: dict, payload: bytes) -> None:
+        try:
+            self._handle(message, payload)
+        except Exception as exc:
+            self.log.exception("error handling %s", message.get("type"))
+            self._send({"type": "error", "error": str(exc)})
 
     def _handle(self, message: dict, payload: bytes) -> None:
         mtype = message.get("type")
@@ -255,7 +246,7 @@ class Shard:
         elif mtype == "shutdown":
             self._running = False
         else:
-            self.conn.send({"type": "error", "error": f"unknown frame {mtype!r}"})
+            self._send({"type": "error", "error": f"unknown frame {mtype!r}"})
 
     # -------------------------------------------------------------- handlers
     def _on_submit(self, message: dict, payload: bytes) -> None:
@@ -342,13 +333,13 @@ class Shard:
         library = deserialize(blob)
         if library.name not in self.manager._libraries:
             self.manager.install_library(library)
-        self.conn.send(
+        self._send(
             {"type": "library_ready", "name": library.name, "digest": message["digest"]}
         )
 
     def _on_stage(self, message: dict, payload: bytes) -> None:
         self._obtain_blob(message, payload)
-        self.conn.send(
+        self._send(
             {"type": "staged", "name": message.get("name"), "digest": message["digest"]}
         )
 
@@ -370,7 +361,7 @@ class Shard:
         )
         task = self._tasks.get(local_id) if local_id is not None else None
         ok = self.manager.cancel(task) if task is not None else False
-        self.conn.send({"type": "cancel_result", "router_id": router_id, "ok": ok})
+        self._send({"type": "cancel_result", "router_id": router_id, "ok": ok})
 
     # ------------------------------------------------------------ completion
     def _ship_completed(self) -> None:
@@ -408,16 +399,12 @@ class Shard:
                 blob = serialize(
                     {"error": RuntimeError(f"unserializable outcome: {exc}")}
                 )
-            self.conn.send(
+            self._send(
                 {"type": "task_done", "router_id": router_id, "shard": self.name},
                 blob,
             )
 
-    def _maybe_status(self) -> None:
-        now = time.monotonic()
-        if now - self._last_status < 1.0:
-            return
-        self._last_status = now
+    def _send_status(self) -> None:
         stats = {
             key: self.manager.stats[key]
             for key in (
@@ -437,10 +424,7 @@ class Shard:
         frame = {"type": "shard_status", "shard": self.name, "stats": stats}
         if self._federate:
             frame["metrics"] = self.manager._metrics_snapshot()
-        try:
-            self.conn.send(frame)
-        except Exception:
-            self._running = False
+        self._send(frame)
 
     def close(self) -> None:
         self.blob_server.stop()

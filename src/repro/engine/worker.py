@@ -1,7 +1,7 @@
 """Worker-side logic: task execution, library hosting, caching, peer serving.
 
-A worker is a single-threaded event loop (plus one thread serving peer
-file transfers) that:
+A worker is a single-threaded event loop (``repro.engine.loop``, plus one
+thread serving peer file transfers) that:
 
 * maintains a content-addressed :class:`~repro.engine.cache.WorkerCache`;
 * executes :class:`~repro.engine.task.PythonTask` work as fresh
@@ -18,7 +18,6 @@ on this to stage inputs without an extra round trip.
 from __future__ import annotations
 
 import os
-import selectors
 import shutil
 import socket
 import subprocess
@@ -28,12 +27,14 @@ import time
 import traceback
 import uuid
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 import repro
 from repro.discover.packaging import unpack_environment
 from repro.engine import messages, payloads
 from repro.engine.cache import WorkerCache
+from repro.engine.loop import EventLoop, Timer
 from repro.engine.resources import Resources
 from repro.engine.sandbox import ARGS_FILE, CODE_FILE, RESULT_FILE, Sandbox
 from repro.errors import CacheError, EngineError, ProtocolError
@@ -197,7 +198,8 @@ class Worker:
         self.manager = messages.connect(manager_host, manager_port, name="manager")
         self.tasks: Dict[int, _RunningTask] = {}
         self.libraries: Dict[int, _LibraryHandle] = {}
-        self.selector = selectors.DefaultSelector()
+        self.loop = EventLoop()
+        self._task_poll: Optional[Timer] = None  # 20 ms, while tasks run
         self._running = True
         # Data-plane accounting mirrored to the manager in status
         # heartbeats: bytes relayed through sockets vs. handed off as
@@ -216,7 +218,9 @@ class Worker:
         recorded for that task *on the frame itself*, so the manager has
         absorbed them before it consolidates the task's cost timeline.
         """
-        self.manager.send(messages.attach_trace(frame, self.tracer), payload)
+        self.loop.send(
+            self.manager, messages.attach_trace(frame, self.tracer), payload
+        )
 
     def _report_eviction(self, digest: str) -> None:
         """Keep the manager's replica map truthful when the LRU evicts."""
@@ -256,49 +260,17 @@ class Worker:
     def run(self) -> None:
         """Main loop: serve until the manager says shutdown or disconnects."""
         self.register()
-        self.selector.register(self.manager.sock, selectors.EVENT_READ, ("manager", None))
-        last_status = 0.0
         try:
+            self.loop.add_connection(
+                self.manager, self._on_manager_frame, self._on_manager_lost
+            )
+            self.loop.call_every(self.status_interval, self._send_status)
             while self._running:
-                events = self.selector.select(timeout=0.02)
-                for key, _ in events:
-                    kind, ref = key.data
-                    if kind == "manager":
-                        self._handle_manager_message()
-                    elif kind == "lib-listener":
-                        self._accept_library(ref)
-                    elif kind == "lib-conn":
-                        self._handle_library_message(ref)
-                self._drain_buffered()
-                self._poll_tasks()
-                self._check_invocation_timeouts()
-                now = time.monotonic()
-                if now - last_status >= self.status_interval:
-                    self._send_status()
-                    last_status = now
+                self.loop.run_once(self.status_interval)
         except ProtocolError:
             pass  # manager went away; shut down quietly
         finally:
             self.shutdown()
-
-    def _drain_buffered(self) -> None:
-        """Process frames already read ahead into connection buffers.
-
-        The selector only wakes on new socket data; a batched flush from
-        the manager (or a library) may leave complete frames sitting in
-        the userspace receive buffer, which must be drained here or they
-        would stall until unrelated traffic arrives.
-        """
-        while self._running and self.manager.pending_bytes:
-            self._handle_manager_message()
-        for handle in list(self.libraries.values()):
-            while (
-                self._running
-                and handle.instance_id in self.libraries
-                and handle.conn is not None
-                and handle.conn.pending_bytes
-            ):
-                self._handle_library_message(handle)
 
     def _send_status(self) -> None:
         """Periodic resource-accounting report (§2.1.3): cache occupancy,
@@ -352,21 +324,25 @@ class Worker:
                 running.proc.terminate()
         self.transfer_server.stop()
         self.manager.close()
+        self.loop.close()
         if self._socket_fallback is not None:
             shutil.rmtree(self._socket_fallback, ignore_errors=True)
             self._socket_fallback = None
 
     # -- manager messages ------------------------------------------------------
-    def _handle_manager_message(self) -> None:
-        message, payload = self.manager.receive(timeout=10.0)
+    def _on_manager_frame(self, message: dict, payload: bytes) -> None:
         mtype = message["type"]
         handler = getattr(self, f"_on_{mtype}", None)
         if handler is None:
             raise ProtocolError(f"unknown manager message {mtype!r}")
         handler(message, payload)
 
+    def _on_manager_lost(self, reason: str) -> None:
+        self._running = False
+
     def _on_shutdown(self, message: dict, payload: bytes) -> None:
         self._running = False
+        self.loop.remove(self.manager)  # nothing behind a shutdown is served
 
     def _on_put_file(self, message: dict, payload: bytes) -> None:
         digest = message["hash"]
@@ -489,6 +465,8 @@ class Worker:
             timeout=timeout,
             deadline=started + timeout if timeout else None,
         )
+        if self._task_poll is None:
+            self._task_poll = self.loop.call_every(0.02, self._poll_tasks)
         self.tracer.record(
             "stage_done",
             task_id=str(task_id),
@@ -517,7 +495,6 @@ class Worker:
             listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             listener.bind(socket_path)
             listener.listen(1)
-            listener.setblocking(False)
             cmd = [
                 sys.executable,
                 "-m",
@@ -561,7 +538,7 @@ class Worker:
             worker_overhead=time.monotonic() - started,
         )
         self.libraries[instance_id] = handle
-        self.selector.register(listener, selectors.EVENT_READ, ("lib-listener", handle))
+        self.loop.add_listener(listener, partial(self._accept_library, handle))
         self.tracer.record(
             "library_spawn",
             library=handle.library_name,
@@ -579,16 +556,15 @@ class Worker:
             self._socket_fallback = tempfile.mkdtemp(prefix="repro-sock-")
         return os.path.join(self._socket_fallback, f"lib-{instance_id}.sock")
 
-    def _accept_library(self, handle: _LibraryHandle) -> None:
-        try:
-            client, _ = handle.listener.accept()
-        except BlockingIOError:
-            return
-        client.setblocking(True)
+    def _accept_library(self, handle: _LibraryHandle, client: socket.socket) -> None:
         handle.conn = messages.Connection(client, name=f"library-{handle.instance_id}")
-        self.selector.unregister(handle.listener)
+        self.loop.remove(handle.listener)
         handle.listener.close()
-        self.selector.register(client, selectors.EVENT_READ, ("lib-conn", handle))
+        self.loop.add_connection(
+            handle.conn,
+            partial(self._on_library_frame, handle),
+            lambda reason: self._library_died(handle),
+        )
 
     def _on_invocation(self, message: dict, payload: bytes) -> None:
         task_id = int(message["task_id"])
@@ -667,9 +643,12 @@ class Worker:
             if mode == "fork":
                 frame["timeout"] = timeout
             else:
-                handle.deadlines[task_id] = (time.monotonic() + timeout, timeout)
+                entry = handle.deadlines[task_id] = (time.monotonic() + timeout, timeout)
+                self.loop.call_at(
+                    entry[0], partial(self._expire_invocation, handle, task_id, entry)
+                )
         if handle.ready and handle.conn is not None:
-            handle.conn.send(frame, lib_payload)
+            self.loop.send(handle.conn, frame, lib_payload)
         else:
             handle.pending.append((frame, lib_payload))
 
@@ -716,13 +695,9 @@ class Worker:
         self._send({"type": "library_removed", "instance_id": instance_id})
 
     # -- library events -----------------------------------------------------------
-    def _handle_library_message(self, handle: _LibraryHandle) -> None:
-        assert handle.conn is not None
-        try:
-            message, payload = handle.conn.receive(timeout=5.0)
-        except (ProtocolError, TimeoutError):
-            self._library_died(handle)
-            return
+    def _on_library_frame(
+        self, handle: _LibraryHandle, message: dict, payload: bytes
+    ) -> None:
         # Relay library-side trace events: absorb() on a forwarding
         # tracer re-queues them, so the next manager-bound frame (often
         # the result this message triggers) carries them upstream.
@@ -744,9 +719,8 @@ class Worker:
             )
             for frame, lib_payload in handle.pending:
                 handle.conn.send_buffered(frame, lib_payload)
-            if handle.pending:
-                handle.conn.flush()
             handle.pending.clear()
+            self.loop.flush(handle.conn)
         elif mtype == "startup_failed":
             self._send(
                 {
@@ -852,8 +826,16 @@ class Worker:
         if sandbox is not None:
             sandbox.destroy()
 
-    def _check_invocation_timeouts(self) -> None:
-        """Enforce direct-mode wall-clock deadlines.
+    def _expire_invocation(
+        self, handle: _LibraryHandle, task_id: int, entry: tuple
+    ) -> None:
+        """Loop timer at a direct-mode deadline: the invocation overran if
+        ``entry`` is still its deadline on a live instance."""
+        if handle.deadlines.get(task_id) is entry and handle.instance_id in self.libraries:
+            self._kill_timed_out(handle, task_id)
+
+    def _kill_timed_out(self, handle: _LibraryHandle, task_id: int) -> None:
+        """Enforce a direct-mode wall-clock deadline.
 
         Direct execution shares the library process, so the only way to
         stop an overrunning invocation is to kill the whole instance.
@@ -863,22 +845,6 @@ class Worker:
         failed with a ``timeout`` kind so the manager does not poison
         the library's queue.
         """
-        now = time.monotonic()
-        for handle in list(self.libraries.values()):
-            if not handle.deadlines:
-                continue
-            victim = next(
-                (
-                    tid
-                    for tid, (deadline, _) in handle.deadlines.items()
-                    if now > deadline
-                ),
-                None,
-            )
-            if victim is not None:
-                self._kill_timed_out(handle, victim)
-
-    def _kill_timed_out(self, handle: _LibraryHandle, task_id: int) -> None:
         _, timeout = handle.deadlines.pop(task_id)
         self.log.warning(
             "invocation %d exceeded its %.1fs timeout; killing library %d",
@@ -962,20 +928,9 @@ class Worker:
 
     def _terminate_library(self, handle: _LibraryHandle) -> None:
         if handle.conn is not None:
-            try:
-                self.selector.unregister(handle.conn.sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                handle.conn.send({"type": "shutdown"})
-            except ProtocolError:
-                pass
-            handle.conn.close()
+            self.loop.dismiss(handle.conn, {"type": "shutdown"})
         else:
-            try:
-                self.selector.unregister(handle.listener)
-            except (KeyError, ValueError):
-                pass
+            self.loop.remove(handle.listener)
             handle.listener.close()
         if handle.proc.poll() is None:
             handle.proc.terminate()
@@ -1029,6 +984,9 @@ class Worker:
                     }
                 )
             running.sandbox.destroy()
+        if not self.tasks and self._task_poll is not None:
+            self._task_poll.cancel()
+            self._task_poll = None
 
     def _kill_timed_out_task(self, running: _RunningTask) -> None:
         """A plain task runs in its own subprocess — kill just that."""

@@ -11,6 +11,7 @@ harness in :mod:`repro.engine.faults`.
 
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from repro.engine import (
     PythonTask,
     TaskState,
 )
+from repro.engine.messages import Connection
 from repro.engine.task import ExecMode
 from repro.errors import TaskFailure, TaskRetryExhausted, TaskTimeout
 
@@ -316,6 +318,54 @@ def test_sigstop_worker_detected_by_liveness_deadline():
         finally:
             injector.resume_worker(0)
             factory.stop()
+
+
+def test_peer_stalled_mid_frame_delays_nobody_and_expires_by_liveness():
+    """Regression: a peer that announced a 200-byte frame, sent 12 bytes
+    of it and went silent froze the whole manager in a 10 s blocking
+    receive — every healthy worker's traffic waited behind it — and was
+    then dropped by that receive timeout instead of the liveness
+    deadline.  Reads are incremental now: the partial frame just sits in
+    its buffer, and silence is the liveness sweep's business."""
+    with Manager(liveness_deadline=1.5) as manager:
+        manager.install_library(
+            manager.create_library_from_functions("hol", quick, function_slots=2)
+        )
+        with LocalWorkerFactory(manager, count=1, cores=2, status_interval=0.2):
+            (healthy,) = manager.connected_workers()
+            warm_up = FunctionCall("hol", "quick", 0)
+            manager.submit(warm_up)
+            manager.wait_all([warm_up], timeout=60.0)
+            sock = socket.create_connection(("127.0.0.1", manager.port))
+            try:
+                peer = Connection(sock, "stalled")
+                peer.send(
+                    {
+                        "type": "register",
+                        "worker": "stalled",
+                        "resources": {"cores": 0, "memory": 0, "disk": 0},
+                    }
+                )
+                manager.wait_for_workers(2, timeout=10.0)
+                assert peer.receive(timeout=5.0)[0]["type"] == "welcome"
+                sock.sendall((200).to_bytes(4, "big") + b'{"type":"sta')
+                call = FunctionCall("hol", "quick", 1)
+                started = time.monotonic()
+                manager.submit(call)
+                manager.wait_all([call], timeout=30.0)
+                assert call.result == 2
+                assert time.monotonic() - started < 1.0
+                assert "stalled" in manager.connected_workers()
+                deadline = time.monotonic() + 10.0
+                while (
+                    "stalled" in manager.connected_workers()
+                    and time.monotonic() < deadline
+                ):
+                    manager.wait(timeout=0.05)
+                assert manager.connected_workers() == [healthy]
+                assert manager.stats["liveness_expirations"] == 1
+            finally:
+                sock.close()
 
 
 def test_worker_killed_mid_invocation_batch_requeues_to_survivor():

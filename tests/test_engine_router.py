@@ -14,10 +14,14 @@ shard-loss test builds its own 3-shard router because it kills one.
 """
 
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+from repro.engine.messages import connect
 from repro.engine.router import Router
 from repro.engine.task import FunctionCall, PythonTask, TaskState
 from repro.errors import LibraryError
@@ -36,6 +40,10 @@ def _nap(x, seconds):
 
     _time.sleep(seconds)
     return x
+
+
+def _echo(blob):
+    return blob
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +142,7 @@ def test_cancel_queued_true_dispatched_false(router):
     # library instances, then cancel from both ends of the pipeline.
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
-        router._advance(0.05)
+        router.loop.run_once(0.05)
         status = router.shard_stats(router._task_shard[calls[0].id])
         if status.get("running", 0) > 0:
             break
@@ -193,7 +201,7 @@ def test_shard_loss_rehomes_library_and_retries_with_blame():
         # Let the home shard take work, then kill it mid-run.
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            r._advance(0.05)
+            r.loop.run_once(0.05)
             if r.shard_stats(home).get("running", 0) > 0:
                 break
         r._shards[home].proc.kill()
@@ -205,3 +213,87 @@ def test_shard_loss_rehomes_library_and_retries_with_blame():
         blamed = [c for c in calls if f"shard:{home}" in c.workers_lost_on]
         assert blamed, "no task recorded the lost shard in its blame set"
         assert all(c.retries >= 1 for c in blamed)
+
+
+# ------------------------------------------------- nobody blocks on anybody
+def _two_waves_with_an_idle_router_between(count, size, pause):
+    """Runs in a child process (see the test below): a hang is a result."""
+    blob = bytes(size)
+    with Router(shards=1, workers_per_shard=1, worker_cores=2) as r:
+        r.install_library(
+            r.create_library_from_functions("echo-lib", _echo, function_slots=2)
+        )
+        calls = []
+        for wave in range(2):
+            for _ in range(count):
+                calls.append(FunctionCall("echo-lib", "_echo", blob))
+                r.submit(calls[-1])
+            if wave == 0:
+                # The router does not drive its loop here, so the shard's
+                # completions pile up unread on the socket pair.
+                time.sleep(pause)
+        r.wait_all(calls, timeout=120.0)
+        assert all(c.result == blob for c in calls)
+
+
+def test_router_and_shard_never_block_on_each_other():
+    """Regression: router and shard both used blocking sends on one
+    socket pair.  A wave of results the router was not reading filled the
+    shard→router direction and parked the shard in ``sendmsg``; the next
+    wave of submissions then filled router→shard, which the parked shard
+    no longer read, and ``Router.submit`` hung forever.  Both sides now
+    queue and drain, so the second wave goes out and everything returns.
+
+    Payloads stay under the 32 KiB shm threshold so the bytes really
+    cross the sockets; 2 x 800 x 30 kB is several times what the kernel
+    buffers per direction.  The scenario runs in its own process group
+    under a hard wall-clock cap (pytest-timeout is not installed).
+    """
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    child = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "from tests.test_engine_router import "
+            "_two_waves_with_an_idle_router_between as run; run(800, 30_000, 3.0)",
+        ],
+        cwd=repo,
+        start_new_session=True,
+    )
+    try:
+        assert child.wait(timeout=30.0) == 0
+    finally:
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+
+
+def _fake_shard(router, name):
+    """Register a raw connection as a shard of a ``spawn=False`` router."""
+    conn = connect("127.0.0.1", router.port, name=name)
+    conn.send({"type": "register_shard", "shard": name, "pid": os.getpid()})
+    while name not in router.shard_names():
+        assert router.wait(timeout=0.05) is None
+    assert conn.receive(timeout=5.0)[0]["type"] == "welcome"
+    return conn
+
+
+def test_shard_stalled_mid_frame_delays_nobody():
+    """A shard link that goes silent in the middle of a frame used to
+    cost the router a 1 s receive timeout per loop iteration."""
+    with Router(spawn=False) as r:
+        healthy, stalled = _fake_shard(r, "fake-a"), _fake_shard(r, "fake-b")
+        try:
+            stalled.sock.sendall((200).to_bytes(4, "big") + b'{"type":"sha')
+            healthy.send(
+                {"type": "shard_status", "shard": "fake-a", "stats": {"completed": 7}}
+            )
+            started = time.monotonic()
+            for _ in range(5):
+                assert r.wait(timeout=0.01) is None
+            assert time.monotonic() - started < 0.5
+            assert r.shard_stats("fake-a")["completed"] == 7
+            assert r.shard_names() == ["fake-a", "fake-b"]
+        finally:
+            healthy.close()
+            stalled.close()

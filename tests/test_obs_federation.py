@@ -159,7 +159,7 @@ def test_shard_loss_retry_keeps_both_attempts_in_one_trace():
                 r.submit(call)
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                r._advance(0.05)
+                r.loop.run_once(0.05)
                 if r.shard_stats(home).get("running", 0) > 0:
                     break
             r._shards[home].proc.kill()
@@ -204,7 +204,7 @@ def test_router_metrics_federate_per_shard_and_cluster(traced_router):
     deadline = time.monotonic() + 30.0
     samples = {}
     while time.monotonic() < deadline:
-        r._advance(0.05)
+        r.loop.run_once(0.05)
         with urllib.request.urlopen(base_url + "/metrics", timeout=10) as rsp:
             triples = parse_prometheus(rsp.read().decode("utf-8"))
         samples = {name: value for name, _, value in triples}
