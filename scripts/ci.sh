@@ -44,6 +44,15 @@ if grep -nE 'select\.select\(|\._recv_buffer|\._recv_pos' src/repro/engine/*.py 
     || grep -nE 'selectors\.DefaultSelector\(' src/repro/engine/*.py | grep -v '^src/repro/engine/loop\.py:'; then
     echo "FAIL: a hand-rolled selector loop is back; repro/engine/loop.py is the one event loop"; exit 1
 fi
+# One way to start a library: forked from the worker's template.  No
+# per-instance command line, no child stderr on a pipe nobody drains,
+# and the package __init__ files import nothing eagerly (a child entry
+# point must not pay for the manager, the router or numpy).
+if grep -nF -e '"--spec"' src/repro/engine/{worker,library_main}.py \
+    || grep -nF 'subprocess.PIPE' src/repro/engine/worker.py \
+    || grep -nE '^(from|import) repro\.' src/repro/{engine,util,obs,discover,serialize}/__init__.py | grep -vE ':(from|import) repro\.errors\b'; then
+    echo "FAIL: a per-instance library start, a piped child stderr or an eager package import is back"; exit 1
+fi
 # One perf harness: no committed baseline files, no regression floors.
 # (Last letters bracketed so the pattern cannot match this script.)
 if grep -rnIE --exclude-dir=out 'floor_rati[o]|REPRO_WRITE_BASELIN[E]' src scripts tests examples benchmarks || compgen -G 'BENCH_*.json'; then echo "FAIL: the baseline-file perf harness is back; benchmarks/ladder/run.py is the one benchmark"; exit 1; fi

@@ -15,22 +15,16 @@ The result is a :class:`~repro.discover.context.FunctionContext`, the unit
 that the *distribute* and *retain* mechanisms ship and cache.
 """
 
-from repro.discover.context import ContextElement, FunctionContext, discover_context
-from repro.discover.imports import scan_imports, scan_imports_source
-from repro.discover.environment import EnvironmentSpec, resolve_environment
-from repro.discover.packaging import pack_environment, unpack_environment
-from repro.discover.data import DataBinding, declare_data
+from repro import lazy_exports
 
-__all__ = [
-    "FunctionContext",
-    "ContextElement",
-    "discover_context",
-    "scan_imports",
-    "scan_imports_source",
-    "EnvironmentSpec",
-    "resolve_environment",
-    "pack_environment",
-    "unpack_environment",
-    "DataBinding",
-    "declare_data",
-]
+# Resolved on first access: a worker needs ``packaging`` alone.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "context": ("FunctionContext", "ContextElement", "discover_context"),
+        "imports": ("scan_imports", "scan_imports_source"),
+        "environment": ("EnvironmentSpec", "resolve_environment"),
+        "packaging": ("pack_environment", "unpack_environment"),
+        "data": ("DataBinding", "declare_data"),
+    },
+)

@@ -23,24 +23,21 @@ The public API mirrors Figure 5 of the paper::
     task = m.wait(timeout=30)
 """
 
-from repro.engine.files import VineFile
-from repro.engine.resources import Resources
-from repro.engine.task import FunctionCall, LibraryTask, PythonTask, Task, TaskState
-from repro.engine.manager import Manager
-from repro.engine.factory import LocalWorkerFactory
-from repro.engine.faults import FaultInjector
-from repro.engine.router import Router
+from repro import lazy_exports
 
-__all__ = [
-    "Manager",
-    "VineFile",
-    "Resources",
-    "Task",
-    "TaskState",
-    "PythonTask",
-    "LibraryTask",
-    "FunctionCall",
-    "LocalWorkerFactory",
-    "FaultInjector",
-    "Router",
-]
+# Resolved on first access: the child entry points (``worker_main``,
+# ``task_runner``, ``library_main``) import this package on their way to
+# one submodule and must not pay for the manager, the router, the
+# policies or the fault injector, none of which they run.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "manager": ("Manager",),
+        "files": ("VineFile",),
+        "resources": ("Resources",),
+        "task": ("Task", "TaskState", "PythonTask", "LibraryTask", "FunctionCall"),
+        "factory": ("LocalWorkerFactory",),
+        "faults": ("FaultInjector",),
+        "router": ("Router",),
+    },
+)

@@ -13,8 +13,9 @@ module injects the faults those paths exist for:
   socket error on the next receive/flush.
 * **disconnect** — sever the manager-side socket without touching the
   worker process: simulates a network partition.
-* **crash_library** — SIGKILL library (retained-context) child
-  processes of a worker mid-invocation, found by walking ``/proc``.
+* **crash_library** — SIGKILL the library (retained-context) instances
+  of a worker mid-invocation, found by walking ``/proc``; the template
+  they were forked from is left alone.
 
 Faults fire on a deterministic schedule relative to
 :meth:`FaultInjector.start`, driven by :meth:`FaultInjector.tick` from
@@ -37,7 +38,7 @@ import signal
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import EngineError
 
@@ -47,30 +48,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def find_library_pids(worker_pid: int) -> List[int]:
-    """PIDs of library (retained-context) processes spawned by a worker.
+    """PIDs of the library (retained-context) instances of a worker.
 
-    Walks ``/proc`` for children of ``worker_pid`` whose command line
-    names ``repro.engine.library_main`` — no psutil dependency.
+    Instances are forked from the worker's template, so they are the
+    ``repro.engine.library_main`` processes whose parent is such a
+    process whose parent is the worker — the template itself is never
+    listed (killing it kills no context), nor are the fork-mode children
+    of an instance.  One walk of ``/proc``, no psutil dependency.
     """
-    pids: List[int] = []
+    parent_of: Dict[int, int] = {}  # every library_main process -> its ppid
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
             continue
         try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                if b"repro.engine.library_main" not in fh.read():
+                    continue
             with open(f"/proc/{entry}/stat", "rb") as fh:
                 stat = fh.read().decode("utf-8", "replace")
             # Field 4 (ppid) follows the parenthesised comm, which may
             # itself contain spaces — split after the last ')'.
-            ppid = int(stat.rsplit(")", 1)[1].split()[1])
-            if ppid != worker_pid:
-                continue
-            with open(f"/proc/{entry}/cmdline", "rb") as fh:
-                cmdline = fh.read().replace(b"\0", b" ")
+            parent_of[int(entry)] = int(stat.rsplit(")", 1)[1].split()[1])
         except (OSError, IndexError, ValueError):
             continue  # process exited mid-walk
-        if b"repro.engine.library_main" in cmdline:
-            pids.append(int(entry))
-    return pids
+    return [
+        pid for pid, ppid in parent_of.items() if parent_of.get(ppid) == worker_pid
+    ]
 
 
 @dataclass(order=True)

@@ -1,7 +1,14 @@
-"""Entry point for *library* processes (``python -m repro.engine.library_main``).
+"""The library template and the library instances it forks
+(``python -m repro.engine.library_main WORKER_FD``).
 
-A library is the paper's retained-context daemon (§3.4): it is forked and
-exec'd by the worker like a normal task, but instead of doing work it
+A library is the paper's retained-context daemon (§3.4).  Each worker
+starts this module once, as its *template*: a single-threaded process
+that imports what an instance needs, touches no environment directory,
+user code, tracer or shared memory, and then forks one instance per
+``spawn`` request from the worker (:class:`Template`).  An instance
+costs a ``fork``, not an interpreter start, and shares with its
+siblings the interpreter and the ``repro`` modules only — never user
+context.  The forked instance (:class:`LibraryServer`)
 
 1. reads its configuration (the serialized context spec),
 2. reconstructs every function of the context into one shared namespace,
@@ -19,14 +26,29 @@ functions).
 
 from __future__ import annotations
 
-import argparse
 import os
 import signal
 import socket
 import sys
 import time
 import traceback
-from typing import Any, Dict
+from functools import partial
+from typing import Any, Dict, Tuple
+
+# Everything an instance needs is imported here, once, by the template.
+import repro.serialize.source  # noqa: F401 - a context spec unpickles into FunctionCode
+from repro.engine import payloads
+from repro.engine.loop import EventLoop
+from repro.engine.messages import Connection, attach_trace
+from repro.engine.sandbox import ARGS_FILE, RESULT_FILE, STDERR_FILE
+from repro.errors import SerializationError
+from repro.obs.trace import get_tracer
+from repro.serialize.core import (
+    deserialize,
+    deserialize_from_file,
+    serialize,
+    serialize_to_file,
+)
 
 
 def _serve_invocation_in(sandbox: str, fn, ns: Dict[str, Any]) -> Dict[str, Any]:
@@ -37,10 +59,6 @@ def _serve_invocation_in(sandbox: str, fn, ns: Dict[str, Any]) -> Dict[str, Any]
     (Direct-mode invocations skip the filesystem entirely — see
     :meth:`LibraryServer._handle_invoke`.)
     """
-    from repro.engine import payloads
-    from repro.engine.sandbox import ARGS_FILE, RESULT_FILE
-    from repro.serialize.core import deserialize, deserialize_from_file, serialize_to_file
-
     home = os.getcwd()
     os.chdir(sandbox)
     try:
@@ -99,8 +117,6 @@ class LibraryServer:
         self.library_name = ""
         # Forwarding tracer: events piggyback on the ready/complete
         # frames to the worker, which relays them to the manager.
-        from repro.obs.trace import get_tracer
-
         self.tracer = get_tracer(f"library.{instance_id or os.getpid()}")
         self.namespace: Dict[str, Any] = {}
         self.functions: Dict[str, Any] = {}
@@ -116,17 +132,13 @@ class LibraryServer:
         # A warm instance therefore pays neither the copy nor the
         # unpickle for a repeated large argument — the retained-context
         # principle applied to data.
-        from repro.engine.payloads import ResolvedArgCache
-
-        self.arg_cache = ResolvedArgCache()
+        self.arg_cache = payloads.ResolvedArgCache()
 
     # -- context construction ---------------------------------------------
     def build_context(self) -> None:
         setup_started = time.monotonic()
         if self.env_dir:
             sys.path.insert(0, self.env_dir)
-        from repro.serialize.core import deserialize_from_file
-
         spec = deserialize_from_file(self.spec_path)
         self.library_name = str(spec.get("name", ""))
         codes = spec["functions"]           # name -> FunctionCode
@@ -156,8 +168,6 @@ class LibraryServer:
 
     # -- main loop -----------------------------------------------------------
     def serve(self) -> int:
-        from repro.engine.messages import Connection, attach_trace
-
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.connect(self.socket_path)
         conn = Connection(sock, name="worker")
@@ -208,9 +218,6 @@ class LibraryServer:
         straight out of the attached segment (zero copy).  Declared
         arguments (placeholders) resolve through the per-process cache.
         """
-        from repro.engine import payloads
-        from repro.serialize.core import deserialize
-
         descriptor = message.get("args_shm")
         if descriptor is not None:
             with payloads.attach(descriptor) as mapped:
@@ -319,11 +326,6 @@ class LibraryServer:
             seconds=times.get("exec_time", 0.0),
             invoc_overhead=times.get("invoc_overhead", 0.0),
         )
-        from repro.engine import payloads
-        from repro.engine.messages import attach_trace
-        from repro.serialize.core import serialize
-        from repro.errors import SerializationError
-
         frame = {
             "type": "complete",
             "task_id": task_id,
@@ -377,8 +379,6 @@ class LibraryServer:
             ok=bool(frame["ok"]),
             mode="fork",
         )
-        from repro.engine.messages import attach_trace
-
         return attach_trace(frame, self.tracer)
 
     def _reap_children(self, conn) -> None:
@@ -413,25 +413,115 @@ class LibraryServer:
                 conn.send(self._complete_frame(pid, task_id, ok))
 
 
+class Template:
+    """The worker's fork server: one warm process, one instance per
+    ``spawn`` frame.
+
+    It speaks to the worker over the inherited ``AF_UNIX`` socket:
+    ``spawn`` in; ``spawned`` (the instance's pid) and ``exited`` (its
+    exit code, once reaped) out.  Instances are reaped with ``waitpid``
+    so that their CPU time stays on this process's books.  When the
+    worker goes away, so does everything forked here.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self.loop = EventLoop()
+        self.worker = Connection(sock, name="worker")
+        self.children: Dict[int, Tuple[int, int]] = {}  # pid -> (instance id, pidfd)
+        self.worker_lost = False
+
+    def run(self) -> int:
+        self.loop.add_connection(self.worker, self._on_frame, self._on_worker_lost)
+        while not self.worker_lost:
+            self.loop.run_once(60.0)
+        for pid in self.children:
+            os.kill(pid, signal.SIGTERM)
+        deadline = time.monotonic() + 5.0
+        while self.children and time.monotonic() < deadline:
+            self.loop.run_once(deadline - time.monotonic())
+        for pid in self.children:  # stuck outside the interpreter
+            os.kill(pid, signal.SIGKILL)
+        return 0
+
+    def _on_worker_lost(self, reason: str) -> None:
+        self.worker_lost = True
+
+    def _on_frame(self, message: Dict[str, Any], payload: bytes) -> None:
+        if message["type"] != "spawn":
+            return  # unknown types are ignored: forward compatibility
+        instance_id = int(message["instance_id"])
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            self.loop.send(
+                self.worker,
+                {"type": "exited", "instance_id": instance_id, "error": f"fork: {exc}"},
+            )
+            return
+        if pid == 0:
+            self._become_instance(message)
+        pidfd = os.pidfd_open(pid)
+        self.children[pid] = (instance_id, pidfd)
+        self.loop.add_reader(pidfd, partial(self._reap, pid))
+        self.loop.send(
+            self.worker, {"type": "spawned", "instance_id": instance_id, "pid": pid}
+        )
+
+    def _reap(self, pid: int) -> None:
+        instance_id, pidfd = self.children.pop(pid)
+        self.loop.remove(pidfd)
+        os.close(pidfd)
+        _, status = os.waitpid(pid, 0)
+        if not self.worker_lost:
+            self.loop.send(
+                self.worker,
+                {
+                    "type": "exited",
+                    "instance_id": instance_id,
+                    "code": os.waitstatus_to_exitcode(status),
+                },
+            )
+
+    def _become_instance(self, message: Dict[str, Any]) -> None:
+        """In the forked child: shed the template, then serve.  Never
+        returns, and never unwinds into the template's own frames."""
+        code = 1
+        try:
+            sandbox = message["sandbox"]
+            log = os.open(
+                os.path.join(sandbox, STDERR_FILE),
+                os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                0o644,
+            )
+            os.dup2(log, 2)
+            os.close(log)
+            self.loop.close()
+            self.worker.close()
+            for _, pidfd in self.children.values():
+                os.close(pidfd)
+            os.chdir(sandbox)
+            signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
+            code = LibraryServer(
+                message["spec"],
+                message["socket"],
+                message.get("env_dir"),
+                instance_id=int(message["instance_id"]),
+            ).serve()
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            try:
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="repro library daemon")
-    parser.add_argument("--spec", required=True, help="serialized context spec file")
-    parser.add_argument("--socket", required=True, help="worker's unix socket path")
-    parser.add_argument("--env-dir", default=None, help="unpacked environment directory")
-    parser.add_argument("--sandbox", required=True, help="library sandbox directory")
-    parser.add_argument(
-        "--instance-id",
-        type=int,
-        default=0,
-        help="manager-assigned instance id (tags this process's trace events)",
-    )
-    args = parser.parse_args(argv)
-    os.chdir(args.sandbox)
-    signal.signal(signal.SIGTERM, lambda *_: os._exit(0))
-    server = LibraryServer(
-        args.spec, args.socket, args.env_dir, instance_id=args.instance_id
-    )
-    return server.serve()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if len(argv) != 1 or not argv[0].isdigit():
+        sys.stderr.write("usage: library_main WORKER_FD\n")
+        return 64
+    return Template(socket.socket(fileno=int(argv[0]))).run()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""The engine's one event loop: manager, router, worker and shard drive it.
+"""The engine's one event loop: manager, router, worker, shard and the
+library template drive it.
 
 It owns the process's only selector and three rules (DESIGN.md §2f):
 reads never block (one ``recv`` per readable event, complete frames
@@ -15,6 +16,7 @@ import itertools
 import selectors
 import socket
 import time
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.messages import Connection, Payload
@@ -66,7 +68,13 @@ class EventLoop:
     ) -> None:
         """Call ``on_accept(client_socket)`` for every incoming connection."""
         sock.setblocking(False)
-        self._selector.register(sock, selectors.EVENT_READ, on_accept)
+        self.add_reader(sock, partial(self._accept, sock, on_accept))
+
+    def add_reader(self, fileobj, on_readable: Callable[[], None]) -> None:
+        """Call ``on_readable()`` whenever ``fileobj`` — anything with a
+        descriptor that is not a framed connection, such as a pidfd —
+        is ready for reading."""
+        self._selector.register(fileobj, selectors.EVENT_READ, on_readable)
 
     def add_connection(
         self,
@@ -86,8 +94,8 @@ class EventLoop:
         self._deliver(peer)
 
     def remove(self, fileobj) -> None:
-        """Forget a listener or connection (idempotent; closes nothing).
-        A removed connection blocks again."""
+        """Forget a listener, reader or connection (idempotent; closes
+        nothing).  A removed connection blocks again."""
         if self._peers.pop(fileobj, None) is not None:
             fileobj.sock.setblocking(True)
         try:
@@ -163,7 +171,7 @@ class EventLoop:
             if isinstance(key.data, _Peer):
                 self._serve(key.data, mask)
             else:
-                self._accept(key.fileobj, key.data)
+                key.data()
         now = time.monotonic()
         while self._timers and self._timers[0][0] <= now:
             timer = heapq.heappop(self._timers)[2]

@@ -20,6 +20,9 @@ RESULT_FILE = "invocation.result"
 ARGS_FILE = "invocation.args"
 CODE_FILE = "invocation.code"  # task-mode function blob, split from args
 SPEC_FILE = "invocation.json"
+# Where a task runner or a library instance writes its stderr: a file
+# never fills, so a chatty function cannot block on a pipe nobody reads.
+STDERR_FILE = "invocation.stderr"
 
 
 class Sandbox:

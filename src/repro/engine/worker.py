@@ -7,7 +7,10 @@ thread serving peer file transfers) that:
 * executes :class:`~repro.engine.task.PythonTask` work as fresh
   ``task_runner`` subprocesses (task mode — context reload every time);
 * hosts library processes that retain function contexts, forwarding
-  invocations to them over per-library Unix sockets (invocation mode);
+  invocations to them over per-library Unix sockets (invocation mode).
+  Instances are forked from one warm *template* process per worker
+  (``library_main.Template``), started while the worker registers; the
+  template reports each instance's pid and, once reaped, its exit;
 * serves cached files to peer workers (Figure 3b spanning-tree transfers).
 
 Messages are processed in arrival order, so a ``put_file`` that precedes
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -36,7 +40,13 @@ from repro.engine import messages, payloads
 from repro.engine.cache import WorkerCache
 from repro.engine.loop import EventLoop, Timer
 from repro.engine.resources import Resources
-from repro.engine.sandbox import ARGS_FILE, CODE_FILE, RESULT_FILE, Sandbox
+from repro.engine.sandbox import (
+    ARGS_FILE,
+    CODE_FILE,
+    RESULT_FILE,
+    STDERR_FILE,
+    Sandbox,
+)
 from repro.errors import CacheError, EngineError, ProtocolError
 from repro.obs.perflog import rss_bytes
 from repro.obs.trace import get_tracer
@@ -61,6 +71,16 @@ def _child_env() -> Dict[str, str]:
     return env
 
 
+def _stderr_tail(directory: str) -> str:
+    """The last 4000 bytes of the stderr file a child kept in ``directory``."""
+    try:
+        with open(os.path.join(directory, STDERR_FILE), "rb") as fh:
+            fh.seek(max(0, fh.seek(0, os.SEEK_END) - 4000))
+            return fh.read().decode("utf-8", "replace")
+    except OSError:
+        return ""
+
+
 @dataclass
 class _RunningTask:
     task_id: int
@@ -80,10 +100,17 @@ class _LibraryHandle:
     sandbox_dir: str
     socket_path: str
     listener: socket.socket
-    proc: subprocess.Popen
     worker_overhead: float
     conn: Optional[messages.Connection] = None
     ready: bool = False
+    # Process state, as the template reports it: the pid once forked,
+    # ``exited`` once reaped.  ``orphaned`` when the template that would
+    # report the exit is itself gone.
+    pid: Optional[int] = None
+    exited: bool = False
+    orphaned: bool = False
+    report_removed: bool = False  # the manager awaits ``library_removed``
+    kill_timer: Optional[Timer] = None  # SIGKILL escalation while leaving
     pending: List[tuple] = field(default_factory=list)  # queued invokes
     # task_id -> sandbox of each in-flight invocation; None when the
     # invocation needed no staged inputs (the sandbox-less fast path).
@@ -198,6 +225,10 @@ class Worker:
         self.manager = messages.connect(manager_host, manager_port, name="manager")
         self.tasks: Dict[int, _RunningTask] = {}
         self.libraries: Dict[int, _LibraryHandle] = {}
+        # Instances told to stop whose exit the template has yet to report.
+        self._leaving: Dict[int, _LibraryHandle] = {}
+        self.template: Optional[messages.Connection] = None
+        self._template_proc: Optional[subprocess.Popen] = None
         self.loop = EventLoop()
         self._task_poll: Optional[Timer] = None  # 20 ms, while tasks run
         self._running = True
@@ -234,6 +265,10 @@ class Worker:
     # -- lifecycle ----------------------------------------------------------
     def register(self) -> None:
         self.transfer_server.start()
+        try:
+            self._start_template()  # boots while the manager answers
+        except OSError as exc:
+            self.log.warning("library template failed to start: %s", exc)
         self._send(
             {
                 "type": "register",
@@ -298,7 +333,7 @@ class Worker:
             "cache_bytes": int(cache_stats.get("bytes", 0)),
             "cache_pinned": int(cache_stats.get("pinned", 0)),
             "libraries_live": sum(
-                1 for h in self.libraries.values() if h.proc.poll() is None
+                1 for h in self.libraries.values() if not h.exited
             ),
             "payload_bytes_copied": self.payload_copied,
             "payload_bytes_mapped": self.payload_mapped,
@@ -306,7 +341,7 @@ class Worker:
                 str(h.instance_id): {
                     "library": h.library_name,
                     "ready": h.ready,
-                    "alive": h.proc.poll() is None,
+                    "alive": not h.exited,
                     "active_invocations": len(h.invocations),
                 }
                 for h in self.libraries.values()
@@ -319,6 +354,18 @@ class Worker:
         self.tracer.flush()
         for handle in list(self.libraries.values()):
             self._terminate_library(handle)
+        for handle in list(self._leaving.values()):
+            handle.report_removed = False  # nobody is left to tell
+            self._library_gone(handle)
+        if self.template is not None:
+            # On EOF the template sees its instances off (SIGTERM, then
+            # SIGKILL after 5 s) and exits; the loop runs no more.
+            self.loop.remove(self.template)
+            self.template.close()
+            try:
+                self._template_proc.wait(timeout=10.0)
+            except subprocess.TimeoutExpired:
+                self._template_proc.kill()
         for running in list(self.tasks.values()):
             if running.proc.poll() is None:
                 running.proc.terminate()
@@ -435,13 +482,14 @@ class Worker:
             cmd = [sys.executable, "-m", "repro.engine.task_runner", sandbox.path]
             if env_dir:
                 cmd.append(env_dir)
-            proc = subprocess.Popen(
-                cmd,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                cwd=sandbox.path,
-                env=_child_env(),
-            )
+            with open(os.path.join(sandbox.path, STDERR_FILE), "wb") as stderr:
+                proc = subprocess.Popen(
+                    cmd,
+                    stdout=subprocess.DEVNULL,
+                    stderr=stderr,
+                    cwd=sandbox.path,
+                    env=_child_env(),
+                )
         except Exception as exc:
             sandbox.destroy()
             self._send(
@@ -479,6 +527,7 @@ class Worker:
         instance_id = int(message["instance_id"])
         started = time.monotonic()
         sandbox_dir = os.path.join(self.workdir, "libraries", f"inst-{instance_id}")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             os.makedirs(sandbox_dir)
             env_dir, _ = self._ensure_environment(message.get("env_hash"))
@@ -492,31 +541,12 @@ class Worker:
             socket_path = self._library_socket_path(instance_id)
             if os.path.exists(socket_path):
                 os.unlink(socket_path)
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             listener.bind(socket_path)
             listener.listen(1)
-            cmd = [
-                sys.executable,
-                "-m",
-                "repro.engine.library_main",
-                "--spec",
-                spec_path,
-                "--socket",
-                socket_path,
-                "--sandbox",
-                sandbox_dir,
-                "--instance-id",
-                str(instance_id),
-            ]
-            if env_dir:
-                cmd.extend(["--env-dir", env_dir])
-            proc = subprocess.Popen(
-                cmd,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                env=_child_env(),
-            )
+            if self.template is None:
+                self._start_template()  # it died, or never started
         except Exception as exc:
+            listener.close()
             shutil.rmtree(sandbox_dir, ignore_errors=True)
             self._send(
                 {
@@ -534,17 +564,98 @@ class Worker:
             sandbox_dir=sandbox_dir,
             socket_path=socket_path,
             listener=listener,
-            proc=proc,
             worker_overhead=time.monotonic() - started,
         )
         self.libraries[instance_id] = handle
         self.loop.add_listener(listener, partial(self._accept_library, handle))
+        # Registered first: should the template turn out dead on this
+        # send, ``_on_template_lost`` fails this instance with the rest.
+        self.loop.send(
+            self.template,
+            {
+                "type": "spawn",
+                "instance_id": instance_id,
+                "spec": spec_path,
+                "socket": socket_path,
+                "sandbox": sandbox_dir,
+                "env_dir": env_dir,
+            },
+        )
         self.tracer.record(
             "library_spawn",
             library=handle.library_name,
             instance=instance_id,
             seconds=handle.worker_overhead,
         )
+
+    # -- the template ---------------------------------------------------------
+    def _start_template(self) -> None:
+        """Start the warm process every instance of this worker is forked
+        from, on one end of a socket pair that joins the loop."""
+        ours, theirs = socket.socketpair()
+        try:
+            with open(os.path.join(self.workdir, STDERR_FILE), "wb") as stderr:
+                self._template_proc = subprocess.Popen(
+                    [
+                        sys.executable,
+                        "-m",
+                        "repro.engine.library_main",
+                        str(theirs.fileno()),
+                    ],
+                    stdout=subprocess.DEVNULL,
+                    stderr=stderr,
+                    pass_fds=[theirs.fileno()],
+                    env=_child_env(),
+                )
+        except OSError:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        self.template = messages.Connection(ours, name="template")
+        self.loop.add_connection(
+            self.template, self._on_template_frame, self._on_template_lost
+        )
+
+    def _on_template_frame(self, message: dict, payload: bytes) -> None:
+        instance_id = int(message["instance_id"])
+        handle = self.libraries.get(instance_id) or self._leaving[instance_id]
+        mtype = message["type"]
+        if mtype == "spawned":
+            handle.pid = int(message["pid"])
+            if instance_id in self._leaving:
+                self._stop_instance(handle)  # told to stop before it was forked
+        elif mtype == "exited":
+            handle.exited = True
+            if instance_id in self.libraries:  # not at our request: it crashed
+                self.log.warning(
+                    "library instance %d exited with code %s",
+                    instance_id, message.get("code"),
+                )
+                self._library_died(
+                    handle, message.get("error", "library process died")
+                )
+            self._library_gone(handle)
+        else:
+            raise ProtocolError(f"unexpected template message {mtype!r}")
+
+    def _on_template_lost(self, reason: str) -> None:
+        """The template died.  Its instances live on but nobody will
+        report their exits; those it never got to fork have failed.  The
+        next deploy starts a new one."""
+        self.log.warning("library template lost: %s", reason)
+        self.template.close()
+        self.template = None
+        self._template_proc.kill()
+        self._template_proc.wait()
+        for handle in [*self.libraries.values(), *self._leaving.values()]:
+            handle.orphaned = True
+            if handle.instance_id in self._leaving:
+                self._stop_instance(handle)
+            elif handle.pid is None:  # asked for, never forked
+                self._library_died(
+                    handle, "library template died", _stderr_tail(self.workdir)
+                )
 
     def _library_socket_path(self, instance_id: int) -> str:
         path = os.path.join(self.socket_root, f"lib-{instance_id}.sock")
@@ -691,8 +802,9 @@ class Worker:
         instance_id = int(message["instance_id"])
         handle = self.libraries.get(instance_id)
         if handle is not None:
-            self._terminate_library(handle)
-        self._send({"type": "library_removed", "instance_id": instance_id})
+            self._terminate_library(handle, report_removed=True)
+        else:
+            self._send({"type": "library_removed", "instance_id": instance_id})
 
     # -- library events -----------------------------------------------------------
     def _on_library_frame(
@@ -859,8 +971,7 @@ class Worker:
             library=handle.library_name,
             instance=handle.instance_id,
         )
-        if handle.proc.poll() is None:
-            handle.proc.kill()
+        self._signal(handle, signal.SIGKILL)
         sandbox = handle.invocations.pop(task_id, None)
         handle.staging.pop(task_id, None)
         self._send(
@@ -900,17 +1011,23 @@ class Worker:
         )
         self._terminate_library(handle)
 
-    def _library_died(self, handle: _LibraryHandle) -> None:
-        stderr = b""
-        if handle.proc.poll() is not None and handle.proc.stderr is not None:
-            stderr = handle.proc.stderr.read() or b""
+    def _library_died(
+        self,
+        handle: _LibraryHandle,
+        error: str = "library process died",
+        stderr: Optional[str] = None,
+    ) -> None:
+        """A serving instance ended on its own (socket closed, or the
+        template reaped it): fail what it was running and the instance."""
+        if stderr is None:
+            stderr = _stderr_tail(handle.sandbox_dir)
         for task_id in list(handle.invocations):
             self._send(
                 {
                     "type": "task_failed",
                     "task_id": task_id,
-                    "error": "library process died",
-                    "traceback": stderr.decode("utf-8", "replace")[-4000:],
+                    "error": error,
+                    "traceback": stderr,
                 }
             )
             dead_sandbox = handle.invocations.pop(task_id)
@@ -920,34 +1037,64 @@ class Worker:
             {
                 "type": "library_failed",
                 "instance_id": handle.instance_id,
-                "error": "library process died",
-                "traceback": stderr.decode("utf-8", "replace")[-4000:],
+                "error": error,
+                "traceback": stderr,
             }
         )
         self._terminate_library(handle)
 
-    def _terminate_library(self, handle: _LibraryHandle) -> None:
+    def _signal(self, handle: _LibraryHandle, signum: int) -> None:
+        if handle.pid is not None and not handle.exited:
+            try:
+                os.kill(handle.pid, signum)
+            except ProcessLookupError:
+                pass  # reaped a moment ago (``exited`` is on its way), or an orphan
+
+    def _terminate_library(
+        self, handle: _LibraryHandle, report_removed: bool = False
+    ) -> None:
+        """Stop serving ``handle`` and tell its process to end.  Nothing
+        here waits: ``_library_gone`` runs when the template reports the
+        exit, and only then does the manager hear ``library_removed``."""
+        self.libraries.pop(handle.instance_id, None)
+        self._leaving[handle.instance_id] = handle
+        handle.report_removed = report_removed
         if handle.conn is not None:
             self.loop.dismiss(handle.conn, {"type": "shutdown"})
         else:
             self.loop.remove(handle.listener)
             handle.listener.close()
-        if handle.proc.poll() is None:
-            handle.proc.terminate()
-            try:
-                handle.proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                handle.proc.kill()
-        if os.path.exists(handle.socket_path):
-            try:
-                os.unlink(handle.socket_path)
-            except OSError:
-                pass
         for sandbox in handle.invocations.values():
             if sandbox is not None:
                 sandbox.destroy()
+        self._stop_instance(handle)
+
+    def _stop_instance(self, handle: _LibraryHandle) -> None:
+        """SIGTERM a leaving instance; SIGKILL follows if 5 s pass without
+        its exit being reported.  An orphan's exit never will be, so it
+        is killed outright and counted gone."""
+        if handle.orphaned:
+            self._signal(handle, signal.SIGKILL)
+            self._library_gone(handle)
+        elif handle.pid is not None:  # else not forked yet: ``spawned`` leads back here
+            self._signal(handle, signal.SIGTERM)
+            handle.kill_timer = self.loop.call_at(
+                time.monotonic() + 5.0,
+                partial(self._signal, handle, signal.SIGKILL),
+            )
+
+    def _library_gone(self, handle: _LibraryHandle) -> None:
+        """The process of a leaving instance has ended: clear its traces."""
+        del self._leaving[handle.instance_id]
+        if handle.kill_timer is not None:
+            handle.kill_timer.cancel()
+        try:
+            os.unlink(handle.socket_path)
+        except OSError:
+            pass
         shutil.rmtree(handle.sandbox_dir, ignore_errors=True)
-        self.libraries.pop(handle.instance_id, None)
+        if handle.report_removed:
+            self._send({"type": "library_removed", "instance_id": handle.instance_id})
 
     # -- task subprocess completion ---------------------------------------------
     def _poll_tasks(self) -> None:
@@ -972,15 +1119,12 @@ class Worker:
                     task_id, "task", times, data=running.sandbox.read(RESULT_FILE)
                 )
             else:
-                stderr = b""
-                if running.proc.stderr is not None:
-                    stderr = running.proc.stderr.read() or b""
                 self._send(
                     {
                         "type": "task_failed",
                         "task_id": task_id,
                         "error": f"task runner exited with code {code}",
-                        "traceback": stderr.decode("utf-8", "replace")[-4000:],
+                        "traceback": _stderr_tail(running.sandbox.path),
                     }
                 )
             running.sandbox.destroy()

@@ -36,101 +36,64 @@ a shared null object (``NullTracer`` / ``NullPerfLog``) whose methods
 are no-ops so instrumented hot paths stay cheap.
 """
 
-from repro.obs.trace import (
-    NullTracer,
-    TraceEvent,
-    Tracer,
-    get_tracer,
-    merge_task_timeline,
-    read_jsonl,
-    tracing_enabled,
-    unparented_events,
-    write_jsonl,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    StatsShim,
-    federate_snapshots,
-)
-from repro.obs.perflog import (
-    NULL_PERFLOG,
-    NullPerfLog,
-    PerfLog,
-    SAMPLE_FIELDS,
-    get_perflog,
-    make_sample,
-    perflog_enabled,
-    read_perflog,
-    rss_bytes,
-    write_perflog,
-)
-from repro.obs.statusd import (
-    StatusServer,
-    parse_prometheus,
-    render_prometheus,
-    shard_status_port,
-    status_port,
-)
-from repro.obs.arrivals import arrival_rates, read_arrivals
-from repro.obs.report import federated_report, run_report, sparkline
-from repro.obs.export import (
-    chrome_trace,
-    cost_components,
-    cost_report,
-    write_chrome_trace,
-)
-from repro.obs.slo import (
-    SLOBoard,
-    SLOTarget,
-    good_fraction_from_histogram,
-    latency_events,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_PERFLOG",
-    "NullPerfLog",
-    "NullTracer",
-    "PerfLog",
-    "SAMPLE_FIELDS",
-    "SLOBoard",
-    "SLOTarget",
-    "StatsShim",
-    "StatusServer",
-    "TraceEvent",
-    "Tracer",
-    "arrival_rates",
-    "chrome_trace",
-    "cost_components",
-    "cost_report",
-    "federate_snapshots",
-    "federated_report",
-    "get_perflog",
-    "get_tracer",
-    "good_fraction_from_histogram",
-    "latency_events",
-    "make_sample",
-    "merge_task_timeline",
-    "parse_prometheus",
-    "perflog_enabled",
-    "read_arrivals",
-    "read_jsonl",
-    "read_perflog",
-    "render_prometheus",
-    "rss_bytes",
-    "run_report",
-    "shard_status_port",
-    "sparkline",
-    "status_port",
-    "tracing_enabled",
-    "unparented_events",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_perflog",
-]
+# Resolved on first access: a library process needs ``trace`` alone, not
+# the status server, the report CLI or the SLO board.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "trace": (
+            "NullTracer",
+            "TraceEvent",
+            "Tracer",
+            "get_tracer",
+            "merge_task_timeline",
+            "read_jsonl",
+            "tracing_enabled",
+            "unparented_events",
+            "write_jsonl",
+        ),
+        "metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "StatsShim",
+            "federate_snapshots",
+        ),
+        "perflog": (
+            "NULL_PERFLOG",
+            "NullPerfLog",
+            "PerfLog",
+            "SAMPLE_FIELDS",
+            "get_perflog",
+            "make_sample",
+            "perflog_enabled",
+            "read_perflog",
+            "rss_bytes",
+            "write_perflog",
+        ),
+        "statusd": (
+            "StatusServer",
+            "parse_prometheus",
+            "render_prometheus",
+            "shard_status_port",
+            "status_port",
+        ),
+        "arrivals": ("arrival_rates", "read_arrivals"),
+        "report": ("federated_report", "run_report", "sparkline"),
+        "export": (
+            "chrome_trace",
+            "cost_components",
+            "cost_report",
+            "write_chrome_trace",
+        ),
+        "slo": (
+            "SLOBoard",
+            "SLOTarget",
+            "good_fraction_from_histogram",
+            "latency_events",
+        ),
+    },
+)

@@ -7,29 +7,25 @@ both routes plus the value (argument/result) serialization used on every
 manager↔worker↔library hop.
 """
 
-from repro.serialize.core import (
-    deserialize,
-    deserialize_from_file,
-    serialize,
-    serialize_to_file,
-)
-from repro.serialize.source import (
-    FunctionCode,
-    capture_function,
-    extract_source,
-    is_serializable_by_source,
-)
-from repro.serialize.registry import SerializerRegistry, get_default_registry
+from repro import lazy_exports
 
-__all__ = [
-    "serialize",
-    "deserialize",
-    "serialize_to_file",
-    "deserialize_from_file",
-    "FunctionCode",
-    "capture_function",
-    "extract_source",
-    "is_serializable_by_source",
-    "SerializerRegistry",
-    "get_default_registry",
-]
+# Resolved on first access: task runners and libraries need ``core`` and
+# ``source``, never the registry.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "serialize",
+            "deserialize",
+            "serialize_to_file",
+            "deserialize_from_file",
+        ),
+        "source": (
+            "FunctionCode",
+            "capture_function",
+            "extract_source",
+            "is_serializable_by_source",
+        ),
+        "registry": ("SerializerRegistry", "get_default_registry"),
+    },
+)

@@ -1,22 +1,16 @@
 """Shared utilities: hashing, timing, statistics, RNG, and logging helpers."""
 
-from repro.util.hashing import content_hash, hash_bytes, hash_file, short_hash
-from repro.util.timer import Stopwatch, Timer
-from repro.util.stats import Histogram, SummaryStats, summarize
-from repro.util.rng import seeded_rng, stable_seed
-from repro.util.logging import get_logger
+from repro import lazy_exports
 
-__all__ = [
-    "content_hash",
-    "hash_bytes",
-    "hash_file",
-    "short_hash",
-    "Stopwatch",
-    "Timer",
-    "Histogram",
-    "SummaryStats",
-    "summarize",
-    "seeded_rng",
-    "stable_seed",
-    "get_logger",
-]
+# Resolved on first access: ``rng`` imports numpy, which nothing on a
+# worker's, task runner's or library's start path uses.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "hashing": ("content_hash", "hash_bytes", "hash_file", "short_hash"),
+        "timer": ("Stopwatch", "Timer"),
+        "stats": ("Histogram", "SummaryStats", "summarize"),
+        "rng": ("seeded_rng", "stable_seed"),
+        "logging": ("get_logger",),
+    },
+)

@@ -195,7 +195,11 @@ def test_shard_loss_rehomes_library_and_retries_with_blame():
         record = r._libraries["loss-lib"]
         home = record.home
         assert set(record.staged) == set(r.shard_names())
-        calls = [FunctionCall("loss-lib", "_nap", i, 0.3) for i in range(6)]
+        # Three rounds of 1.5 s on the two slots: the kill below keys off
+        # the shard's status frames, which are 1 s apart, so every round
+        # must outlast that gap or the work can finish before a frame
+        # ever shows it (it did, once a cold start stopped taking 270 ms).
+        calls = [FunctionCall("loss-lib", "_nap", i, 1.5) for i in range(6)]
         for call in calls:
             r.submit(call)
         # Let the home shard take work, then kill it mid-run.
