@@ -11,7 +11,8 @@ OS processes on one machine:
   processes that retain function contexts in memory.
 * library processes (``python -m repro.engine.library_main``) — run the
   environment setup once, then serve invocations (direct or fork mode)
-  per the protocol of paper §3.4.
+  per the protocol of paper §3.4; each holds its own link to the
+  manager, on which direct invocations and their results travel.
 
 The public API mirrors Figure 5 of the paper::
 

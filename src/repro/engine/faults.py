@@ -6,9 +6,13 @@ failure paths (liveness deadlines, bounded retries, timeout kills) need
 to be exercised deliberately, not just when CI gets unlucky.  This
 module injects the faults those paths exist for:
 
-* **stall** — SIGSTOP a worker process: the socket stays open and
-  perfectly healthy, but heartbeats stop.  Only the manager's liveness
-  deadline can detect this.
+* **stall** — SIGSTOP a worker node: the worker process and everything
+  under it (its library template and instances, task runners).  Every
+  socket stays open and perfectly healthy, but heartbeats stop and no
+  work finishes.  Only the manager's liveness deadline can detect this.
+  (Stopping the worker process alone no longer stalls anything a
+  library instance runs: direct invocations travel on the instance's own
+  link to the manager.)
 * **kill** — SIGKILL a worker process: the classic crash; detected by a
   socket error on the next receive/flush.
 * **disconnect** — sever the manager-side socket without touching the
@@ -76,6 +80,24 @@ def find_library_pids(worker_pid: int) -> List[int]:
     ]
 
 
+def _process_tree(root: int) -> List[int]:
+    """``root`` and every live process below it, parents first."""
+    children: Dict[int, List[int]] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                ppid = int(fh.read().rsplit(b")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue  # process exited mid-walk
+        children.setdefault(ppid, []).append(int(entry))
+    tree = [root]
+    for pid in tree:  # grows while it is walked: breadth first
+        tree.extend(children.get(pid, ()))
+    return tree
+
+
 @dataclass(order=True)
 class _ScheduledFault:
     at: float
@@ -113,15 +135,25 @@ class FaultInjector:
         return self.factory.procs[index]
 
     def stall_worker(self, index: int) -> None:
-        """SIGSTOP: the worker hangs with its socket still open."""
-        os.kill(self._worker_proc(index).pid, signal.SIGSTOP)
+        """SIGSTOP: the worker node hangs with its sockets still open.
+        The worker stops first, so it forks nothing the walk could miss."""
+        self._signal_tree(index, signal.SIGSTOP)
 
     def resume_worker(self, index: int) -> None:
-        """SIGCONT a previously stalled worker."""
+        """SIGCONT a previously stalled worker node."""
+        self._signal_tree(index, signal.SIGCONT)
+
+    def _signal_tree(self, index: int, signum: int) -> None:
+        worker = self._worker_proc(index).pid
         try:
-            os.kill(self._worker_proc(index).pid, signal.SIGCONT)
+            os.kill(worker, signum)
         except ProcessLookupError:
-            pass  # already reaped
+            return  # already reaped
+        for pid in _process_tree(worker)[1:]:
+            try:
+                os.kill(pid, signum)
+            except ProcessLookupError:
+                pass
 
     def kill_worker(self, index: int) -> None:
         """SIGKILL: abrupt crash, detected via the broken socket."""

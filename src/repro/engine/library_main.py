@@ -10,12 +10,17 @@ costs a ``fork``, not an interpreter start, and shares with its
 siblings the interpreter and the ``repro`` modules only — never user
 context.  The forked instance (:class:`LibraryServer`)
 
-1. reads its configuration (the serialized context spec),
-2. reconstructs every function of the context into one shared namespace,
-3. executes all context-setup functions,
-4. notifies the worker that it is ready, and
-5. loops serving invocations — *direct* (synchronous, in-process) or
-   *fork* (child process per invocation) — until told to shut down.
+1. connects to its worker's per-instance socket and attaches its own
+   link to the manager (numeric address, per-instance token),
+2. reads its configuration (the serialized context spec),
+3. reconstructs every function of the context into one shared namespace,
+4. executes all context-setup functions,
+5. notifies the worker that it is ready, and
+6. serves invocations from both links in one event loop — *direct*
+   (synchronous, in-process) or *fork* (child process per invocation) —
+   until the worker tells it to shut down.  Direct invocations without
+   input files come from the manager and their results go straight back
+   to it; the worker relays only what it must stage in a sandbox.
 
 State sharing contract: functions reconstructed from source share one
 module namespace, so ``global model`` in the setup function is visible
@@ -33,13 +38,13 @@ import sys
 import time
 import traceback
 from functools import partial
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Set, Tuple
 
 # Everything an instance needs is imported here, once, by the template.
 import repro.serialize.source  # noqa: F401 - a context spec unpickles into FunctionCode
 from repro.engine import payloads
-from repro.engine.loop import EventLoop
-from repro.engine.messages import Connection, attach_trace
+from repro.engine.loop import EventLoop, Timer
+from repro.engine.messages import Connection, attach_trace, unpack_invocations
 from repro.engine.sandbox import ARGS_FILE, RESULT_FILE, STDERR_FILE
 from repro.errors import SerializationError
 from repro.obs.trace import get_tracer
@@ -57,7 +62,7 @@ def _serve_invocation_in(sandbox: str, fn, ns: Dict[str, Any]) -> Dict[str, Any]
     Returns the outcome dict and writes the result file, mirroring
     task_runner's format so the worker handles both identically.
     (Direct-mode invocations skip the filesystem entirely — see
-    :meth:`LibraryServer._handle_invoke`.)
+    :meth:`LibraryServer._run_direct`.)
     """
     home = os.getcwd()
     os.chdir(sandbox)
@@ -101,7 +106,15 @@ def _serve_invocation_in(sandbox: str, fn, ns: Dict[str, Any]) -> Dict[str, Any]
 
 
 class LibraryServer:
-    """The daemon loop: context setup once, invocations many times."""
+    """One instance: context setup once, then invocations until the
+    worker says ``shutdown``.
+
+    It serves two peers from one event loop.  The manager's link carries
+    direct-mode invocations that need no input files, and their results
+    go straight back on it.  The worker's link carries everything the
+    worker must stage in a sandbox (fork mode, input files) plus the
+    lifecycle frames; those results go back to the worker.
+    """
 
     def __init__(
         self,
@@ -109,24 +122,37 @@ class LibraryServer:
         socket_path: str,
         env_dir: str | None,
         instance_id: int = 0,
+        *,
+        manager: Tuple[str, int],
+        token: str,
+        shm: bool = False,
     ):
         self.spec_path = spec_path
         self.socket_path = socket_path
         self.env_dir = env_dir
         self.instance_id = instance_id
+        self.manager_address = manager  # numeric (host, port)
+        self.token = token
+        # A big direct result goes to the manager as a one-shot segment
+        # only when the manager can attach it; otherwise inline.
+        self.shm_to_manager = shm and payloads.enabled()
         self.library_name = ""
-        # Forwarding tracer: events piggyback on the ready/complete
-        # frames to the worker, which relays them to the manager.
+        # Forwarding tracer: events piggyback on whichever frame leaves
+        # next — a result to the manager, or a frame to the worker, which
+        # relays them.
         self.tracer = get_tracer(f"library.{instance_id or os.getpid()}")
         self.namespace: Dict[str, Any] = {}
         self.functions: Dict[str, Any] = {}
-        self.children: Dict[int, int] = {}  # pid -> invocation task id
-        # Fork-mode wall-clock timeouts: pid -> monotonic deadline.  An
+        self.loop = EventLoop()
+        self.worker: Connection | None = None
+        self.manager: Connection | None = None
+        self.serving = True
+        # Fork-mode children: pid -> (task id, pidfd, deadline timer).  An
         # overdue child is SIGKILLed and reported as a timeout — the
         # library itself survives, unlike direct mode where the worker
         # must kill the whole instance.
-        self.child_deadlines: Dict[int, float] = {}
-        self.timed_out: Dict[int, float] = {}  # pid -> requested timeout
+        self.children: Dict[int, Tuple[int, int, Timer | None]] = {}
+        self.timed_out: Set[int] = set()
         self.setup_time = 0.0
         # Deserialized declare_argument values, keyed by content digest.
         # A warm instance therefore pays neither the copy nor the
@@ -170,11 +196,12 @@ class LibraryServer:
     def serve(self) -> int:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.connect(self.socket_path)
-        conn = Connection(sock, name="worker")
+        self.worker = Connection(sock, name="worker")
         try:
+            self.manager = self._attach()
             self.build_context()
         except BaseException as exc:
-            conn.send(
+            self.worker.send(
                 {
                     "type": "startup_failed",
                     "error": f"{type(exc).__name__}: {exc}",
@@ -188,27 +215,104 @@ class LibraryServer:
             instance=self.instance_id,
             seconds=self.setup_time,
         )
-        conn.send(
+        self.worker.send(
             attach_trace(
                 {"type": "ready", "setup_time": self.setup_time}, self.tracer
             )
         )
-        while True:
-            self._reap_children(conn)
+        self.loop.add_connection(self.worker, self._on_worker_frame, self._on_lost)
+        self.loop.add_connection(self.manager, self._on_manager_frame, self._on_lost)
+        while self.serving:
+            self.loop.run_once(60.0)
+        self._end_children()
+        return 0
+
+    def _attach(self) -> Connection:
+        """Dial the manager and present this instance's token.
+
+        The address is numeric and dialled with a plain ``connect``.  A
+        helper that resolves it first loads the C library's name-service
+        machinery into the freshly forked process: over 3 ms of CPU per
+        instance, against 0.12 ms for the connect (ci.sh keeps them out
+        of this file).
+        """
+        host, port = self.manager_address
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        sock = socket.socket(family, socket.SOCK_STREAM)
+        try:
+            sock.connect((host, port))
+        except OSError:
+            sock.close()
+            raise
+        conn = Connection(sock, name="manager")
+        conn.send({"type": "attach", "instance_id": self.instance_id, "token": self.token})
+        return conn
+
+    def _on_lost(self, reason: str) -> None:
+        self.serving = False  # either peer gone: nothing more to serve
+
+    def _on_worker_frame(self, message: Dict[str, Any], payload: bytes) -> None:
+        mtype = message["type"]
+        if mtype == "shutdown":
+            self.serving = False
+        elif mtype == "invoke":
+            self._invoke(self.worker, message, payload)
+        # unknown types are ignored: forward compatibility
+
+    def _on_manager_frame(self, message: Dict[str, Any], payload: bytes) -> None:
+        for header, blob in unpack_invocations(message, payload):
+            self._invoke(self.manager, header, blob)
+
+    def _invoke(self, conn: Connection, message: Dict[str, Any], payload: bytes) -> None:
+        """Run one invocation and answer on ``conn``, the link it came
+        in on.  A direct one answers with a ``result`` frame carrying the
+        timing keys a relaying worker adds; a fork-mode one (always
+        relayed) answers once its child exits."""
+        task_id = message["task_id"]
+        fn = self.functions.get(message["function"])
+        if fn is None:
+            self.loop.send(
+                conn,
+                {
+                    "type": "task_failed",
+                    "task_id": task_id,
+                    "error": f"library has no function {message['function']!r}",
+                },
+            )
+            return
+        if message.get("mode") == "fork":
+            self._fork_invocation(message, fn)
+            return
+        outcome = self._run_direct(message, payload, fn)
+        times = outcome["times"]
+        self.tracer.record(
+            "library_invoke",
+            task_id=str(task_id),
+            ok=bool(outcome.get("ok")),
+            mode="direct",
+            seconds=times["exec_time"],
+            invoc_overhead=times["invoc_overhead"],
+        )
+        frame: Dict[str, Any] = {
+            "type": "result",
+            "task_id": task_id,
+            "kind": "invocation",
+            "times": dict(times, staging=0.0, worker_overhead=0.0),
+        }
+        # Library and worker always share a host; the manager may not.
+        shm = self.shm_to_manager if conn is self.manager else payloads.enabled()
+        try:
+            blob = serialize(outcome)
+        except SerializationError as exc:
+            frame = {"type": "task_failed", "task_id": task_id, "error": str(exc)}
+            blob = b""
+        if shm and len(blob) >= payloads.threshold_bytes():
             try:
-                message, payload = conn.receive(timeout=0.05)
-            except TimeoutError:
-                continue
-            except Exception:
-                return 0  # worker went away; nothing more to serve
-            mtype = message.get("type")
-            if mtype == "shutdown":
-                self._drain_children(conn)
-                conn.send({"type": "bye"})
-                return 0
-            if mtype == "invoke":
-                self._handle_invoke(conn, message, payload)
-            # unknown types are ignored: forward compatibility
+                frame["payload_shm"] = payloads.publish_once(blob)
+                blob = b""
+            except payloads.PayloadError:
+                pass  # shm creation failed; ship inline
+        self.loop.send(conn, attach_trace(frame, self.tracer), blob)
 
     def _load_direct_args(self, message: Dict[str, Any], payload: bytes):
         """Materialize a direct invocation's (args, kwargs) from the frame.
@@ -235,13 +339,9 @@ class LibraryServer:
     ) -> Dict[str, Any]:
         """Execute a direct invocation without touching the filesystem.
 
-        The pre-payload-plane path wrote an args file, read it back,
-        wrote an fsync'd result file, and had the worker read that —
-        five filesystem operations per invocation on the hottest path in
-        the system.  Args now arrive on the invoke frame (or in shared
-        memory) and the result returns on the complete frame (or as a
-        one-shot segment); the sandbox is only entered when the
-        invocation actually staged input files.
+        Args arrive on the invocation frame (or in shared memory) and the
+        result leaves on a frame (or as a one-shot segment); the sandbox
+        is only entered when the worker staged input files for it.
         """
         sandbox = message.get("sandbox")
         home = os.getcwd()
@@ -281,136 +381,78 @@ class LibraryServer:
             if sandbox:
                 os.chdir(home)
 
-    def _handle_invoke(
-        self, conn, message: Dict[str, Any], payload: bytes = b""
-    ) -> None:
-        task_id = message["task_id"]
-        fname = message["function"]
-        mode = message.get("mode", "direct")
-        fn = self.functions.get(fname)
-        if fn is None:
-            conn.send(
-                {
-                    "type": "complete",
-                    "task_id": task_id,
-                    "ok": False,
-                    "error": f"library has no function {fname!r}",
-                }
-            )
-            return
+    def _fork_invocation(self, message: Dict[str, Any], fn) -> None:
+        """Run one invocation in a forked child that reads its args file
+        and writes its result file in the sandbox; a pidfd in the loop
+        reports its exit, a timer its deadline."""
+        sandbox = message["sandbox"]
+        pid = os.fork()
+        if pid == 0:
+            # Child: run the invocation in the inherited (already set up)
+            # context, without the instance's links (its death must stay
+            # visible to both peers), and exit without any parent cleanup.
+            code = 0
+            try:
+                self.loop.close()
+                self.worker.close()
+                self.manager.close()
+                _serve_invocation_in(sandbox, fn, self.namespace)
+            except BaseException:
+                code = 1
+            os._exit(code)
+        pidfd = os.pidfd_open(pid)
         timeout = message.get("timeout")
-        if mode == "fork":
-            sandbox = message["sandbox"]  # fork mode stays file-based
-            pid = os.fork()
-            if pid == 0:
-                # Child: run the invocation in the inherited (already set
-                # up) context, write the result file, and exit without
-                # running any parent cleanup.
-                code = 0
-                try:
-                    _serve_invocation_in(sandbox, fn, self.namespace)
-                except BaseException:
-                    code = 1
-                os._exit(code)
-            self.children[pid] = task_id
-            if timeout:
-                self.child_deadlines[pid] = time.monotonic() + float(timeout)
-            return
-        outcome = self._run_direct(message, payload, fn)
-        times = outcome.get("times", {})
-        self.tracer.record(
-            "library_invoke",
-            task_id=str(task_id),
-            ok=bool(outcome.get("ok")),
-            mode="direct",
-            seconds=times.get("exec_time", 0.0),
-            invoc_overhead=times.get("invoc_overhead", 0.0),
-        )
-        frame = {
+        timer = None
+        if timeout:
+            timer = self.loop.call_at(
+                time.monotonic() + float(timeout), partial(self._kill_child, pid)
+            )
+        self.children[pid] = (message["task_id"], pidfd, timer)
+        self.loop.add_reader(pidfd, partial(self._reap, pid))
+
+    def _kill_child(self, pid: int) -> None:
+        self.timed_out.add(pid)
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+    def _reap(self, pid: int) -> None:
+        """A fork-mode child exited: report it to the worker."""
+        task_id, pidfd, timer = self.children.pop(pid)
+        self.loop.remove(pidfd)
+        os.close(pidfd)
+        _, status = os.waitpid(pid, 0)
+        if timer is not None:
+            timer.cancel()
+        frame: Dict[str, Any] = {
             "type": "complete",
             "task_id": task_id,
-            "ok": bool(outcome.get("ok")),
-            "times": times,
-        }
-        try:
-            blob = serialize(outcome)
-        except SerializationError as exc:
-            frame["ok"] = False
-            frame["error"] = str(exc)
-            conn.send(attach_trace(frame, self.tracer))
-            return
-        if payloads.enabled() and len(blob) >= payloads.threshold_bytes():
-            try:
-                frame["payload_shm"] = payloads.publish_once(blob)
-                blob = b""
-            except payloads.PayloadError:
-                pass  # shm creation failed; ship inline
-        conn.send(attach_trace(frame, self.tracer), blob)
-
-    def _kill_overdue_children(self) -> None:
-        if not self.child_deadlines:
-            return
-        now = time.monotonic()
-        for pid, deadline in list(self.child_deadlines.items()):
-            if now > deadline:
-                del self.child_deadlines[pid]
-                self.timed_out[pid] = deadline
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-
-    def _complete_frame(self, pid: int, task_id: int, ok: bool) -> Dict[str, Any]:
-        frame: Dict[str, Any] = {
-            "type": "complete", "task_id": task_id, "ok": ok, "times": {},
+            "ok": os.waitstatus_to_exitcode(status) == 0,
+            "times": {},
         }
         if pid in self.timed_out:
-            del self.timed_out[pid]
+            self.timed_out.discard(pid)
             frame["ok"] = False
             frame["kind"] = "timeout"
-            frame["error"] = (
-                "fork-mode invocation exceeded its wall-clock timeout"
-            )
+            frame["error"] = "fork-mode invocation exceeded its wall-clock timeout"
         # Fork-mode timings live in the child's result file; the parent
         # only knows the outcome, so the event carries no span.
         self.tracer.record(
-            "library_invoke",
-            task_id=str(task_id),
-            ok=bool(frame["ok"]),
-            mode="fork",
+            "library_invoke", task_id=str(task_id), ok=bool(frame["ok"]), mode="fork"
         )
-        return attach_trace(frame, self.tracer)
+        self.loop.send(self.worker, attach_trace(frame, self.tracer))
 
-    def _reap_children(self, conn) -> None:
-        """Collect finished fork-mode invocations (the SIGCHLD path)."""
-        self._kill_overdue_children()
-        while self.children:
+    def _end_children(self) -> None:
+        """Leaving: results have nowhere to go, so no child outlives us."""
+        for pid, (_, pidfd, _) in self.children.items():
             try:
-                pid, status = os.waitpid(-1, os.WNOHANG)
-            except ChildProcessError:
-                self.children.clear()
-                return
-            if pid == 0:
-                return
-            task_id = self.children.pop(pid, None)
-            self.child_deadlines.pop(pid, None)
-            if task_id is None:
-                continue
-            ok = os.waitstatus_to_exitcode(status) == 0
-            conn.send(self._complete_frame(pid, task_id, ok))
-
-    def _drain_children(self, conn) -> None:
-        while self.children:
-            try:
-                pid, status = os.waitpid(-1, 0)
-            except ChildProcessError:
-                self.children.clear()
-                return
-            task_id = self.children.pop(pid, None)
-            self.child_deadlines.pop(pid, None)
-            if task_id is not None:
-                ok = os.waitstatus_to_exitcode(status) == 0
-                conn.send(self._complete_frame(pid, task_id, ok))
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+            os.close(pidfd)
+        self.children.clear()
 
 
 class Template:
@@ -506,6 +548,9 @@ class Template:
                 message["socket"],
                 message.get("env_dir"),
                 instance_id=int(message["instance_id"]),
+                manager=tuple(message["manager"]),
+                token=message["token"],
+                shm=bool(message.get("shm")),
             ).serve()
         except BaseException:
             traceback.print_exc()

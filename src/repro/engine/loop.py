@@ -1,12 +1,14 @@
-"""The engine's one event loop: manager, router, worker, shard and the
-library template drive it.
+"""The engine's one event loop: manager, router, worker, shard, the
+library template and every library instance drive it.
 
 It owns the process's only selector and three rules (DESIGN.md §2f):
 reads never block (one ``recv`` per readable event, complete frames
 delivered, a partial tail waits), sends never block (frames queue and
 drain as the kernel takes them), and timers run after an iteration's I/O.
-Blocking ``Connection.send``/``receive`` remain for handshakes: before a
-connection joins the loop and after it leaves.
+Accept-side handshakes wait for a newcomer's first frame in the loop too
+(``await_hello``).  Blocking ``Connection.send``/``receive`` remain for
+the dialling side of a handshake and for a last frame after a connection
+leaves the loop.
 """
 
 from __future__ import annotations
@@ -92,6 +94,33 @@ class EventLoop:
         peer = self._peers[conn] = _Peer(conn, on_frame, on_lost)
         self._selector.register(conn, selectors.EVENT_READ, peer)
         self._deliver(peer)
+
+    def await_hello(
+        self,
+        sock: socket.socket,
+        on_hello: Callable[[Connection, Dict[str, Any], bytes], None],
+        timeout: float = 10.0,
+    ) -> None:
+        """Accept-side handshake that blocks nobody: the first frame the
+        newcomer ``sock`` sends goes to ``on_hello(conn, message,
+        payload)``, with ``conn`` already out of the loop again — the
+        handler re-adds it with its real handlers, or closes it.  A peer
+        silent for ``timeout`` seconds, or gone first, is closed
+        unanswered."""
+        conn = Connection(sock, name="newcomer")
+
+        def hello(message: Dict[str, Any], payload: bytes) -> None:
+            timer.cancel()
+            self.remove(conn)
+            on_hello(conn, message, payload)
+
+        def dismiss(reason: str = "silent") -> None:
+            timer.cancel()
+            self.remove(conn)
+            conn.close()
+
+        timer = self.call_at(time.monotonic() + timeout, dismiss)
+        self.add_connection(conn, hello, dismiss)
 
     def remove(self, fileobj) -> None:
         """Forget a listener, reader or connection (idempotent; closes

@@ -22,9 +22,20 @@ worker joined, library evicted/failed, task finished) marks it dirty.
 Dispatch work per tick therefore does not scale with the number of
 queued-but-unplaceable invocations (`stats["queue_scan_len"]` stays flat
 while a queue is blocked).  Consecutive invocations bound for the same
-worker in one round are coalesced into a single ``invocation_batch``
+link in one round are coalesced into a single ``invocation_batch``
 frame, and all control frames of a round share one buffered socket
-flush per worker.
+flush per link.
+
+Every library instance keeps its own framed link to the manager
+(``attach`` with a per-instance token, before it reports ready).  An
+invocation that needs nothing from the worker's filesystem — direct
+mode, no input files — goes down that link and its result comes
+straight back; fork-mode invocations and those with input files are
+relayed by the worker, which also keeps instance lifecycle, the file
+cache and sandboxes.  The worker link stays the failure authority: a
+result is applied only if its task is still bound to the instance that
+sent it, and losing an instance link asks the worker to remove the
+instance.
 
 Failure semantics (see DESIGN.md "Failure semantics"):
 
@@ -35,14 +46,19 @@ Failure semantics (see DESIGN.md "Failure semantics"):
   (``max_retries``), an exponential backoff gate, and a blame set of
   workers it was lost on (never redispatched there); exhaustion fails
   it with :class:`~repro.errors.TaskRetryExhausted`;
-* per-task wall-clock timeouts are enforced worker-side and surface as
-  :class:`~repro.errors.TaskTimeout` plus ``stats["timeouts"]``.
+* per-task wall-clock timeouts surface as
+  :class:`~repro.errors.TaskTimeout` plus ``stats["timeouts"]``; a
+  direct-mode deadline runs in this loop and asks the worker to
+  ``expire`` the instance, every other kind is enforced where the work
+  runs.
 """
 
 from __future__ import annotations
 
 import collections
+import hmac
 import os
+import secrets
 import socket
 import tempfile
 import time
@@ -86,6 +102,23 @@ from repro.serialize.core import deserialize, serialize
 from repro.util.logging import get_logger
 
 
+# How long an instance whose link closed keeps its seat before the
+# manager asks its worker to remove it: ample for the worker to notice
+# the process is gone and say so.
+_UNLINKED_GRACE_S = 1.0
+
+
+def _reclaim_result_segment(message: Dict[str, Any]) -> None:
+    """Nobody will read the one-shot segment of a result that is not
+    applied; unlink it."""
+    descriptor = message.get("payload_shm")
+    if descriptor is not None:
+        try:
+            payloads.fetch(descriptor, consume=True)
+        except payloads.PayloadError:
+            pass
+
+
 @dataclass
 class _WorkerLink:
     name: str
@@ -104,8 +137,11 @@ class _WorkerLink:
 class _InstanceRecord:
     instance: LibraryInstance
     library: LibraryTask
+    token: str  # what the instance must present to attach its link
     deploy_times: Dict[str, float] = field(default_factory=dict)
     removing: bool = False
+    conn: Optional[messages.Connection] = None  # the instance's own link
+    worker_ready: bool = False  # the worker reported ``library_ready``
 
 
 class Manager:
@@ -200,7 +236,9 @@ class Manager:
         # stalled past the deadline, those refresh last_seen first and
         # only truly silent workers expire.
         self.loop = EventLoop()
-        self.loop.add_listener(self._listener, self._accept_worker)
+        self.loop.add_listener(
+            self._listener, lambda sock: self.loop.await_hello(sock, self._on_hello)
+        )
         self.loop.call_every(0.2, self._maybe_prewarm)
         if liveness_deadline is not None:
             self.loop.call_every(
@@ -212,9 +250,10 @@ class Manager:
         # hash -> worker names confirmed to hold the file (peer-transfer
         # source lookup without scanning every _WorkerLink).
         self._file_holders: Dict[str, Set[str]] = {}
-        # worker -> invocation frames accumulated during the current
-        # dispatch round, coalesced into invocation_batch frames on flush.
-        self._outbox: Dict[str, List[tuple]] = {}
+        # link (worker or instance) -> invocation frames accumulated
+        # during the current dispatch round, coalesced into one frame
+        # per link on flush.
+        self._outbox: Dict[messages.Connection, List[tuple]] = {}
         self._completed: Deque[Task] = collections.deque()
         self._closed = False
         # Counters for experiments live in a metrics registry; the shim
@@ -736,6 +775,9 @@ class Manager:
         for link in list(self._workers.values()):
             self.loop.dismiss(link.conn, {"type": "shutdown"})
         self._workers.clear()
+        for record in self._instances.values():
+            if record.conn is not None:
+                record.conn.close()
         self.loop.close()
         self._listener.close()
         if self.payloads is not None:
@@ -779,11 +821,45 @@ class Manager:
             self.stats["liveness_expirations"] += 1
             self._worker_lost(link)
 
-    def _accept_worker(self, sock: socket.socket) -> None:
-        conn = messages.Connection(sock, name="worker?")
+    def _on_hello(
+        self, conn: messages.Connection, hello: Dict[str, Any], payload: bytes
+    ) -> None:
+        """A newcomer's first frame says what it is: ``register`` is a
+        worker, ``attach`` a library instance; anything else is closed."""
+        if hello["type"] == "register":
+            self._register_worker(conn, hello)
+        elif hello["type"] == "attach":
+            self._attach_instance(conn, hello)
+        else:
+            conn.close()
+
+    def _attach_instance(self, conn: messages.Connection, hello: Dict[str, Any]) -> None:
+        """Bind an instance's own link, or close it unanswered: unknown
+        or departing instance, wrong token, or already attached."""
+        instance_id = hello.get("instance_id")
+        record = self._instances.get(instance_id) if type(instance_id) is int else None
+        if (
+            record is None
+            or record.removing
+            or record.conn is not None
+            or not hmac.compare_digest(
+                str(hello.get("token", "")).encode(), record.token.encode()
+            )
+        ):
+            conn.close()
+            return
+        record.conn = conn
+        conn.name = f"library-{instance_id}"
+        self.loop.add_connection(
+            conn,
+            partial(self._on_instance_frame, record),
+            partial(self._instance_link_lost, record),
+        )
+        if record.worker_ready:
+            self._library_ready(record)
+
+    def _register_worker(self, conn: messages.Connection, hello: Dict[str, Any]) -> None:
         try:
-            hello, _ = conn.receive(timeout=10.0)
-            messages.expect(hello, "register")
             name = str(hello["worker"])
             if name in self._workers:
                 conn.send({"type": "error", "error": f"duplicate worker {name!r}"})
@@ -945,34 +1021,22 @@ class Manager:
             queue.appendleft(task)
 
     def _flush_round(self) -> None:
-        """Coalesce this round's invocations into per-worker batch frames
-        and drain every link's buffered control traffic with vectored
-        writes (the batch frame, its length prefixes, and each argument
-        blob go out as separate iovecs of one ``sendmsg`` — no joins)."""
+        """Coalesce this round's invocations into one frame per link
+        (instance or worker) and drain every link's buffered control
+        traffic with vectored writes (the batch frame, its length
+        prefixes, and each argument blob go out as separate iovecs of one
+        ``sendmsg`` — no joins)."""
         outbox, self._outbox = self._outbox, {}
-        for worker, entries in outbox.items():
-            link = self._workers.get(worker)
-            if link is None:
+        for conn, entries in outbox.items():
+            if conn.closed:
                 continue  # lost mid-round; the loss path requeues its work
-            if len(entries) == 1:
-                header, payload = entries[0]
-                link.conn.send_buffered(dict(header, type="invocation"), payload)
-            else:
-                parts: List[bytes] = []
-                for _, payload in entries:
-                    parts.append(len(payload).to_bytes(4, "big"))
-                    parts.append(payload)
-                link.conn.send_buffered(
-                    {
-                        "type": "invocation_batch",
-                        "invocations": [header for header, _ in entries],
-                    },
-                    parts,
-                )
+            conn.send_buffered(*messages.pack_invocations(entries))
+            if len(entries) > 1:
                 self.stats["batched_invocations"] += len(entries)
-        for link in list(self._workers.values()):
-            if link.conn.pending_out:
-                self.loop.flush(link.conn)
+        # A failed flush runs a loss handler, which may close other links.
+        for conn in [*outbox, *(link.conn for link in self._workers.values())]:
+            if conn.pending_out and not conn.closed:
+                self.loop.flush(conn)
 
     def _link_for(self, worker: str) -> _WorkerLink:
         link = self._workers.get(worker)
@@ -1204,8 +1268,12 @@ class Manager:
     def _dispatch_invocation(self, task: FunctionCall, inst: LibraryInstance) -> None:
         """Bind ``task`` to ``inst`` and stage its frame in the round outbox.
 
+        A direct-mode invocation without input files goes down the
+        instance's own link; one that needs the worker's filesystem (input
+        files, or fork mode's sandbox) is relayed by the worker, behind
+        the ``put_file`` frames staging its inputs on the same connection.
         The frame is not written to the socket here: ``_flush_round``
-        coalesces every invocation bound for the same worker in this
+        coalesces every invocation bound for the same link in this
         dispatch round into a single ``invocation_batch`` message.
         """
         library = self._libraries[task.library_name]
@@ -1221,20 +1289,29 @@ class Manager:
         payload = self._serialize_args(task, link)
         task.mark("overhead.code_serialize", time.monotonic() - serialize_started)
         mode = (task.exec_mode or library.exec_mode).value
-        header = {
-            "task_id": task.id,
-            "instance_id": inst.instance_id,
-            "function": task.function_name,
-            "mode": mode,
-            "inputs": [{"hash": f.hash, "name": f.remote_name} for f in task.inputs],
-        }
+        header: Dict[str, Any] = {"task_id": task.id, "function": task.function_name}
+        if mode == "direct" and not task.inputs:
+            conn = self._instances[inst.instance_id].conn
+        else:
+            conn = link.conn
+            header["instance_id"] = inst.instance_id
+            header["mode"] = mode
+            header["inputs"] = [
+                {"hash": f.hash, "name": f.remote_name} for f in task.inputs
+            ]
         if task.timeout is not None:
-            header["timeout"] = task.timeout
+            if mode == "fork":  # the library kills just the overdue child
+                header["timeout"] = task.timeout
+            else:  # only the worker can stop it: by killing the instance
+                self.loop.call_at(
+                    time.monotonic() + task.timeout,
+                    partial(self._expire_invocation, task.id, inst.instance_id),
+                )
         descriptor = self._stage_args_blob(task, payload, link)
         if descriptor is not None:
             header["args_shm"] = descriptor
             payload = b""
-        self._outbox.setdefault(inst.worker, []).append((header, payload))
+        self._outbox.setdefault(conn, []).append((header, payload))
         # Warm/cold classification, before start_invocation mutates the
         # slot counts: a warm invocation lands on an instance that has
         # already served or is concurrently serving work (its context is
@@ -1326,6 +1403,7 @@ class Manager:
             self._ensure_file(link, f)
         if env_file is not None:
             self._ensure_file(link, env_file)
+        token = secrets.token_hex(16)
         link.conn.send_buffered(
             {
                 "type": "library",
@@ -1335,10 +1413,13 @@ class Manager:
                 "env_hash": env_file.hash if env_file else None,
                 "inputs": [{"hash": f.hash, "name": f.remote_name} for f in inputs],
                 "slots": library.function_slots,
+                "token": token,
             }
         )
         slot = self.placement.workers[worker]
-        record = _InstanceRecord(instance=slot.libraries[instance_id], library=library)
+        record = _InstanceRecord(
+            instance=slot.libraries[instance_id], library=library, token=token
+        )
         self._instances[instance_id] = record
         if prewarm:
             self._prewarmed.add(instance_id)
@@ -1357,18 +1438,102 @@ class Manager:
         record = self._instances.get(victim.instance_id)
         if record is None or record.removing:
             return False
-        record.removing = True
-        self.placement.mark_removing(victim)
-        link = self._link_for(victim.worker)
-        link.conn.send_buffered(
-            {"type": "remove_library", "instance_id": victim.instance_id}
-        )
+        self._request_removal(record)
         self.stats["libraries_evicted"] += 1
         self.log.debug(
             "evicting idle library %s#%d on %s",
             victim.library_name, victim.instance_id, victim.worker,
         )
         return True
+
+    def _request_removal(self, record: _InstanceRecord) -> messages.Connection:
+        """Take an instance out of scheduling and stage ``remove_library``
+        on its worker's link, which is returned for flushing; the seat is
+        freed when the worker answers ``library_removed``."""
+        record.removing = True
+        self.placement.mark_removing(record.instance)
+        conn = self._link_for(record.instance.worker).conn
+        conn.send_buffered(
+            {"type": "remove_library", "instance_id": record.instance.instance_id}
+        )
+        return conn
+
+    def _forget_instance(self, instance_id: int) -> Optional[_InstanceRecord]:
+        """Drop an instance's record and close its link."""
+        record = self._instances.pop(instance_id, None)
+        if record is not None and record.conn is not None:
+            self.loop.remove(record.conn)
+            record.conn.close()
+            record.conn = None
+        return record
+
+    # -------------------------------------------------------- instance links
+    def _on_instance_frame(
+        self, record: _InstanceRecord, message: Dict[str, Any], payload: bytes
+    ) -> None:
+        """A result (or a failure) straight from an instance — applied
+        only while its task is still bound to that instance: one that was
+        requeued or settled by the worker link meanwhile is dropped."""
+        piggyback = message.get(messages.TRACE_KEY)
+        if piggyback:
+            self.tracer.absorb(piggyback)
+        task_id = int(message["task_id"])
+        if self.state.invocation_instance.get(task_id) != record.instance.instance_id:
+            _reclaim_result_segment(message)
+        elif message["type"] == "task_failed":
+            self._on_task_failed(message)
+        else:
+            self._on_result(message, payload)
+
+    def _instance_link_lost(self, record: _InstanceRecord, reason: str) -> None:
+        """An instance's link closed.  While the instance is registered
+        this is a request to remove it; the worker's ``library_removed``
+        or ``library_failed`` then settles whatever was bound to it.
+
+        Nothing is dispatched to it from now on, but the request waits
+        out a grace period: a link usually closes because the process
+        died, and then the worker's own ``library_failed`` — the verdict
+        that fails the calls the crash took with it instead of retrying
+        them — must not lose a race against a removal it never asked for.
+        """
+        record.conn.close()
+        record.conn = None
+        if self._instances.get(record.instance.instance_id) is not record or record.removing:
+            return
+        self.log.warning(
+            "lost the link of library instance %d: %s",
+            record.instance.instance_id, reason,
+        )
+        record.removing = True
+        self.placement.mark_removing(record.instance)
+        self.loop.call_at(
+            time.monotonic() + _UNLINKED_GRACE_S, partial(self._remove_unlinked, record)
+        )
+
+    def _remove_unlinked(self, record: _InstanceRecord) -> None:
+        if self._instances.get(record.instance.instance_id) is record:
+            self.loop.flush(self._request_removal(record))
+
+    def _expire_invocation(self, task_id: int, instance_id: int) -> None:
+        """Loop timer at a direct-mode deadline: an invocation still bound
+        to its instance overran, and only the worker can stop it."""
+        record = self._instances.get(instance_id)
+        task = self.state.running.get(task_id)
+        if (
+            record is None
+            or task is None
+            or self.state.invocation_instance.get(task_id) != instance_id
+        ):
+            return  # finished, requeued, or its instance is already gone
+        self.loop.send(
+            self._link_for(record.instance.worker).conn,
+            {
+                "type": "expire",
+                "instance_id": instance_id,
+                "task_id": task_id,
+                "timeout": task.timeout,
+            },
+        )
 
     # ---------------------------------------------------------- worker events
     def _on_worker_frame(
@@ -1419,16 +1584,22 @@ class Manager:
                 )
 
     def _on_library_ready(self, message: dict) -> None:
-        instance_id = int(message["instance_id"])
-        record = self._instances.get(instance_id)
+        record = self._instances.get(int(message["instance_id"]))
         if record is None:
             return
         record.deploy_times.update(message.get("times", {}))
-        self.placement.library_ready(record.instance.worker, instance_id)
+        record.worker_ready = True
+        if record.conn is not None:
+            self._library_ready(record)
+
+    def _library_ready(self, record: _InstanceRecord) -> None:
+        """Both halves are in — the worker's ``library_ready`` and the
+        instance's own link — so invocations may land on it."""
+        self.placement.library_ready(record.instance.worker, record.instance.instance_id)
         self.perflog.transition(
             "library_ready",
             library=record.library.name,
-            instance=instance_id,
+            instance=record.instance.instance_id,
             worker=record.instance.worker,
         )
         # A fresh idle instance: its own library gained slots, and every
@@ -1437,7 +1608,7 @@ class Manager:
 
     def _on_library_failed(self, message: dict) -> None:
         instance_id = int(message["instance_id"])
-        record = self._instances.pop(instance_id, None)
+        record = self._forget_instance(instance_id)
         if record is None:
             return
         inst = record.instance
@@ -1492,7 +1663,7 @@ class Manager:
 
     def _on_library_removed(self, message: dict) -> None:
         instance_id = int(message["instance_id"])
-        record = self._instances.pop(instance_id, None)
+        record = self._forget_instance(instance_id)
         self._prewarmed.discard(instance_id)  # evicted unused = prewarm miss
         if record is None:
             return
@@ -1546,13 +1717,7 @@ class Manager:
         task_id = int(message["task_id"])
         task = self.state.running.pop(task_id, None)
         if task is None:
-            descriptor = message.get("payload_shm")
-            if descriptor is not None:
-                # Nobody will read this one-shot segment; reclaim it.
-                try:
-                    payloads.fetch(descriptor, consume=True)
-                except payloads.PayloadError:
-                    pass
+            _reclaim_result_segment(message)
             return
         self._finish_bookkeeping(task)
         descriptor = message.get("payload_shm")
@@ -1720,7 +1885,7 @@ class Manager:
         link.conn.close()
         if self._workers.pop(link.name, None) is None:
             return  # double loss (socket error racing a liveness expiry)
-        self._outbox.pop(link.name, None)
+        self._outbox.pop(link.conn, None)
         for digest in link.cached:
             self._drop_holder(digest, link.name)
         self.log.warning("lost worker %s", link.name)
@@ -1734,7 +1899,7 @@ class Manager:
             if rec.instance.worker == link.name
         }
         for iid in lost_instances:
-            del self._instances[iid]
+            self._forget_instance(iid)
         for task_id, iid in list(self.state.invocation_instance.items()):
             if iid in lost_instances:
                 self.state.invocation_instance.pop(task_id, None)

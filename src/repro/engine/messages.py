@@ -23,8 +23,12 @@ Two hot-path mechanisms keep small control frames cheap:
 * *incremental receives* — ``fill`` reads the socket in large chunks
   into a ``bytearray`` and ``next_frame`` parses complete frames out of
   it, keeping a partial tail for the next call; neither blocks.  The
-  blocking ``receive(timeout=)`` of handshakes and library processes is
+  blocking ``receive(timeout=)`` of the dialling side of a handshake is
   the same parser behind a socket timeout.
+
+A dispatch round's invocations for one peer travel as one frame
+(:func:`pack_invocations` / :func:`unpack_invocations`), whether the peer
+is a library instance (direct mode) or a worker relaying them.
 """
 
 from __future__ import annotations
@@ -33,13 +37,13 @@ import json
 import socket
 from collections import deque
 from itertools import islice
-from typing import Any, Deque, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ProtocolError
 
 MAX_MESSAGE = 64 * 1024 * 1024  # sanity cap on a JSON frame
 # Key under which trace events piggyback on ordinary frames (worker
-# status/result frames, library ready/complete frames).  Receivers that
+# status/result frames, library ready/complete/result frames).  Receivers that
 # predate tracing ignore unknown keys, so the protocol is unchanged.
 TRACE_KEY = "trace"
 _HDR = 4
@@ -62,14 +66,20 @@ def attach_trace(message: Dict[str, Any], tracer) -> Dict[str, Any]:
 # periodic status frame — no extra round trips — and folded into
 # per-worker gauges by the manager.  Kept as a named constant so the
 # telemetry tests can assert the field set stays stable.
+#
+# Invocations that need nothing from the worker's filesystem travel on
+# each instance's own link to the manager and never pass through the
+# worker, so ``busy_slots`` and ``payload_bytes_*`` count only what the
+# worker relays: plain tasks, fork-mode invocations and invocations with
+# input files.
 HEARTBEAT_FIELDS = (
     "rss_bytes",       # worker process resident set size
-    "busy_slots",      # running tasks + in-flight library invocations
+    "busy_slots",      # running tasks + invocations relayed to libraries
     "cache_bytes",     # bytes resident in the worker cache
     "cache_pinned",    # pinned cache entries
     "libraries_live",  # library instances whose process is alive
-    "payload_bytes_copied",  # result/argument bytes moved through sockets
-    "payload_bytes_mapped",  # result/argument bytes handed off via shm
+    "payload_bytes_copied",  # relayed result/argument bytes moved through sockets
+    "payload_bytes_mapped",  # relayed result/argument bytes handed off via shm
 )
 _RECV_CHUNK = 1 << 16  # read ahead in 64 KiB chunks; leftovers stay buffered
 _IOV_MAX = 64  # buffers per sendmsg call (well under every platform's IOV_MAX)
@@ -80,7 +90,7 @@ Payload = Union[bytes, bytearray, memoryview, Iterable[bytes]]
 class Connection:
     """A framed-message connection over a stream socket.
 
-    ``send`` and ``receive`` block (handshakes, library processes); the
+    ``send`` and ``receive`` block (handshakes); the
     event loop makes the socket non-blocking and uses ``send_buffered``
     + ``flush`` and ``fill`` + ``next_frame`` instead.  The connection
     tracks byte counters so benchmarks can report bytes moved per hop.
@@ -267,11 +277,53 @@ class Connection:
             if not self.fill():
                 raise TimeoutError(f"recv from {self.name} timed out")
 
+    @property
+    def closed(self) -> bool:
+        return self.sock.fileno() == -1
+
     def close(self) -> None:
         try:
             self.sock.close()
         except OSError:
             pass
+
+
+def pack_invocations(
+    entries: List[Tuple[Dict[str, Any], bytes]],
+) -> Tuple[Dict[str, Any], List[bytes]]:
+    """One frame for a dispatch round's ``(header, argument blob)``
+    entries bound for one peer: an ``invocation`` for a single entry, an
+    ``invocation_batch`` otherwise, whose payload is each blob behind a
+    4-byte big-endian length, in header order.  Returns ``(message,
+    payload parts)`` for ``send_buffered``; no blob is copied."""
+    if len(entries) == 1:
+        header, payload = entries[0]
+        return dict(header, type="invocation"), [payload]
+    parts: List[bytes] = []
+    for _, payload in entries:
+        parts.append(len(payload).to_bytes(4, "big"))
+        parts.append(payload)
+    return {
+        "type": "invocation_batch",
+        "invocations": [header for header, _ in entries],
+    }, parts
+
+
+def unpack_invocations(
+    message: Dict[str, Any], payload: bytes
+) -> Iterator[Tuple[Dict[str, Any], bytes]]:
+    """The ``(header, argument blob)`` pairs of a frame built by
+    :func:`pack_invocations`."""
+    if message["type"] == "invocation":
+        yield message, payload
+        return
+    view = memoryview(payload)
+    offset = 0
+    for header in message.get("invocations", []):
+        length = int.from_bytes(view[offset:offset + 4], "big")
+        offset += 4
+        yield header, bytes(view[offset:offset + length])
+        offset += length
 
 
 def connect(host: str, port: int, name: str = "?", timeout: float = 10.0) -> Connection:

@@ -195,7 +195,9 @@ class Router:
         os.makedirs(self.workdir, exist_ok=True)
         self._listener = socket.create_server(("127.0.0.1", 0), backlog=16)
         self.loop = EventLoop()
-        self.loop.add_listener(self._listener, self._accept_shard)
+        self.loop.add_listener(
+            self._listener, lambda sock: self.loop.await_hello(sock, self._on_hello)
+        )
         self.loop.call_every(1.0, self._reap_exited_shards)
         self.ring = HashRing(replicas=64)
         self._shards: Dict[str, _ShardLink] = {}
@@ -658,10 +660,10 @@ class Router:
             if link.proc is not None and link.proc.poll() is not None:
                 self._shard_lost(link, f"process exited {link.proc.returncode}")
 
-    def _accept_shard(self, sock: socket.socket) -> None:
-        conn = messages.Connection(sock, name="shard?")
+    def _on_hello(
+        self, conn: messages.Connection, hello: Dict[str, Any], payload: bytes
+    ) -> None:
         try:
-            hello, _ = conn.receive(timeout=10.0)
             messages.expect(hello, "register_shard")
             name = str(hello["shard"])
             if name in self._shards:

@@ -6,16 +6,22 @@ thread serving peer file transfers) that:
 * maintains a content-addressed :class:`~repro.engine.cache.WorkerCache`;
 * executes :class:`~repro.engine.task.PythonTask` work as fresh
   ``task_runner`` subprocesses (task mode — context reload every time);
-* hosts library processes that retain function contexts, forwarding
-  invocations to them over per-library Unix sockets (invocation mode).
-  Instances are forked from one warm *template* process per worker
-  (``library_main.Template``), started while the worker registers; the
-  template reports each instance's pid and, once reaped, its exit;
+* hosts library processes that retain function contexts (invocation
+  mode): it spawns, removes and kills them and watches them over
+  per-library Unix sockets.  Instances are forked from one warm
+  *template* process per worker (``library_main.Template``), started
+  while the worker registers; the template reports each instance's pid
+  and, once reaped, its exit.  Each instance also dials the manager
+  itself, and every invocation that needs nothing from this worker's
+  filesystem travels on that link; the worker relays only fork-mode
+  invocations and those with input files, into a sandbox, and kills an
+  instance whose direct-mode deadline the manager reports (``expire``);
 * serves cached files to peer workers (Figure 3b spanning-tree transfers).
 
 Messages are processed in arrival order, so a ``put_file`` that precedes
-a ``task`` is guaranteed visible by execution time — the manager relies
-on this to stage inputs without an extra round trip.
+a ``task`` (or a relayed invocation) is guaranteed visible by execution
+time — the manager relies on this to stage inputs without an extra round
+trip.
 """
 
 from __future__ import annotations
@@ -111,15 +117,10 @@ class _LibraryHandle:
     orphaned: bool = False
     report_removed: bool = False  # the manager awaits ``library_removed``
     kill_timer: Optional[Timer] = None  # SIGKILL escalation while leaving
-    pending: List[tuple] = field(default_factory=list)  # queued invokes
-    # task_id -> sandbox of each in-flight invocation; None when the
-    # invocation needed no staged inputs (the sandbox-less fast path).
-    invocations: Dict[int, Optional[Sandbox]] = field(default_factory=dict)
+    # task_id -> sandbox of each invocation relayed through this worker
+    # (fork mode, or input files); the rest never pass through here.
+    invocations: Dict[int, Sandbox] = field(default_factory=dict)
     staging: Dict[int, float] = field(default_factory=dict)
-    # task_id -> (monotonic deadline, requested timeout seconds), only
-    # for direct-mode invocations: the worker enforces those by killing
-    # the library process (fork-mode children are killed library-side).
-    deadlines: Dict[int, tuple] = field(default_factory=dict)
 
 
 class _TransferServer(threading.Thread):
@@ -570,6 +571,8 @@ class Worker:
         self.loop.add_listener(listener, partial(self._accept_library, handle))
         # Registered first: should the template turn out dead on this
         # send, ``_on_template_lost`` fails this instance with the rest.
+        # The instance dials the manager's numeric address itself; see
+        # ``LibraryServer._attach``.
         self.loop.send(
             self.template,
             {
@@ -579,6 +582,9 @@ class Worker:
                 "socket": socket_path,
                 "sandbox": sandbox_dir,
                 "env_dir": env_dir,
+                "manager": self.manager.sock.getpeername()[:2],
+                "token": message["token"],
+                "shm": self.shm_to_manager,
             },
         )
         self.tracer.record(
@@ -678,6 +684,11 @@ class Worker:
         )
 
     def _on_invocation(self, message: dict, payload: bytes) -> None:
+        """Relay one invocation that needs this worker's filesystem —
+        input files staged from the cache, or fork mode's args/result
+        files — into a fresh sandbox and on to its instance.  (Direct-mode
+        invocations without inputs travel on the instance's own link to
+        the manager and never reach this worker.)"""
         task_id = int(message["task_id"])
         instance_id = int(message["instance_id"])
         handle = self.libraries.get(instance_id)
@@ -696,22 +707,19 @@ class Worker:
             return
         staging_started = time.monotonic()
         mode = message.get("mode", "direct")
-        inputs = message.get("inputs", [])
         descriptor = message.get("args_shm")
-        # A sandbox exists only when the invocation actually needs the
-        # filesystem: staged input files, or fork mode (whose child
-        # reads/writes the classic args/result files).  The common
-        # direct-mode no-inputs invocation skips mkdir/rmtree entirely
-        # and its arguments travel on the invoke frame or in shm.
-        sandbox: Optional[Sandbox] = None
-        if inputs or mode == "fork":
-            sandbox = Sandbox(
-                self.sandbox_root, f"invoc-{task_id}-{uuid.uuid4().hex[:6]}"
-            )
-            for item in inputs:
-                sandbox.stage(self.cache.path_of(item["hash"]), item["name"])
+        sandbox = Sandbox(self.sandbox_root, f"invoc-{task_id}-{uuid.uuid4().hex[:6]}")
+        for item in message.get("inputs", []):
+            sandbox.stage(self.cache.path_of(item["hash"]), item["name"])
+        frame = {
+            "type": "invoke",
+            "task_id": task_id,
+            "function": message["function"],
+            "mode": mode,
+            "sandbox": sandbox.path,
+        }
         lib_payload: bytes = b""
-        if mode == "fork":
+        if mode == "fork":  # the child reads the classic args file
             if descriptor is not None:
                 args_blob = payloads.fetch(descriptor)  # store-owned; no unlink
                 self.payload_mapped += len(args_blob)
@@ -719,63 +727,38 @@ class Worker:
                 args_blob = payload
                 self.payload_copied += len(args_blob)
             sandbox.write(ARGS_FILE, args_blob)
+            if message.get("timeout"):  # the library kills the overdue child
+                frame["timeout"] = message["timeout"]
+        elif descriptor is not None:
+            # Library and worker always share a host: hand the
+            # descriptor through untouched (zero bytes moved here).
+            frame["args_shm"] = descriptor
+            self.payload_mapped += int(descriptor.get("size", 0))
+        else:
+            lib_payload = payload
+            self.payload_copied += len(payload)
         handle.invocations[task_id] = sandbox
         handle.staging[task_id] = time.monotonic() - staging_started
-        if sandbox is not None:
-            self.tracer.record(
-                "stage_done",
-                task_id=str(task_id),
-                kind="invocation",
-                seconds=handle.staging[task_id],
-            )
-        timeout = message.get("timeout")
-        frame = {
-            "type": "invoke",
-            "task_id": task_id,
-            "function": message["function"],
-            "mode": mode,
-        }
-        if sandbox is not None:
-            frame["sandbox"] = sandbox.path
-        if mode != "fork":
-            if descriptor is not None:
-                # Library and worker always share a host: hand the
-                # descriptor through untouched (zero bytes moved here).
-                frame["args_shm"] = descriptor
-                self.payload_mapped += int(descriptor.get("size", 0))
-            else:
-                lib_payload = payload
-                self.payload_copied += len(payload)
-        if timeout:
-            # Direct-mode work shares the library process, so the worker
-            # enforces the deadline by killing the instance; fork-mode
-            # children are killed by the library itself, which needs the
-            # timeout forwarded.
-            if mode == "fork":
-                frame["timeout"] = timeout
-            else:
-                entry = handle.deadlines[task_id] = (time.monotonic() + timeout, timeout)
-                self.loop.call_at(
-                    entry[0], partial(self._expire_invocation, handle, task_id, entry)
-                )
-        if handle.ready and handle.conn is not None:
-            self.loop.send(handle.conn, frame, lib_payload)
-        else:
-            handle.pending.append((frame, lib_payload))
+        self.tracer.record(
+            "stage_done",
+            task_id=str(task_id),
+            kind="invocation",
+            seconds=handle.staging[task_id],
+        )
+        self.loop.send(handle.conn, frame, lib_payload)
 
     def _on_invocation_batch(self, message: dict, payload: bytes) -> None:
-        """Fan a coalesced dispatch round back out to library instances.
+        """Fan a coalesced dispatch round back out to library instances."""
+        for header, blob in messages.unpack_invocations(message, payload):
+            self._on_invocation(header, blob)
 
-        The payload is the concatenation of each invocation's argument
-        blob, length-prefixed (4-byte big-endian), in header order.
-        """
-        view = memoryview(payload)
-        offset = 0
-        for header in message.get("invocations", []):
-            length = int.from_bytes(view[offset:offset + 4], "big")
-            offset += 4
-            self._on_invocation(header, bytes(view[offset:offset + length]))
-            offset += length
+    def _on_expire(self, message: dict, payload: bytes) -> None:
+        """The manager's deadline for a direct-mode invocation passed
+        while it was still running (the manager's loop keeps those
+        deadlines; the invocation may never have passed through here)."""
+        handle = self.libraries.get(int(message["instance_id"]))
+        if handle is not None:  # else already gone; its report settles the call
+            self._kill_timed_out(handle, int(message["task_id"]), message["timeout"])
 
     def _on_cancel(self, message: dict, payload: bytes) -> None:
         """Kill a running task subprocess at the manager's request."""
@@ -829,10 +812,6 @@ class Worker:
                     },
                 }
             )
-            for frame, lib_payload in handle.pending:
-                handle.conn.send_buffered(frame, lib_payload)
-            handle.pending.clear()
-            self.loop.flush(handle.conn)
         elif mtype == "startup_failed":
             self._send(
                 {
@@ -843,10 +822,8 @@ class Worker:
                 }
             )
             self._terminate_library(handle)
-        elif mtype == "complete":
+        elif mtype in ("result", "task_failed", "complete"):
             self._finish_invocation(handle, message, payload)
-        elif mtype == "bye":
-            pass
         else:
             raise ProtocolError(f"unexpected library message {mtype!r}")
 
@@ -906,21 +883,16 @@ class Worker:
         if task_id not in handle.invocations:
             return
         sandbox = handle.invocations.pop(task_id)
-        handle.deadlines.pop(task_id, None)
-        times = dict(message.get("times", {}))
+        # The context was already resident: no worker overhead.
+        times = dict(message.get("times", {}), worker_overhead=0.0)
         times["staging"] = handle.staging.pop(task_id, 0.0)
-        times["worker_overhead"] = 0.0  # context was already resident
-        descriptor = message.get("payload_shm")
-        if message.get("kind") != "timeout" and (descriptor is not None or payload):
-            # Direct mode: the outcome rode the complete frame (or shm).
+        timed_out = message.get("kind") == "timeout"  # a fork-mode child overran
+        if message["type"] == "result":  # direct mode: the outcome rode the frame (or shm)
             self._relay_result(
-                task_id, "invocation", times, data=payload, descriptor=descriptor
+                task_id, "invocation", times, data=payload,
+                descriptor=message.get("payload_shm"),
             )
-        elif (
-            message.get("kind") != "timeout"
-            and sandbox is not None
-            and sandbox.exists(RESULT_FILE)
-        ):
+        elif message["type"] == "complete" and not timed_out and sandbox.exists(RESULT_FILE):
             # Fork mode: the child wrote the classic result file.
             self._relay_result(
                 task_id, "invocation", times, data=sandbox.read(RESULT_FILE)
@@ -932,32 +904,23 @@ class Worker:
                 "error": message.get("error", "invocation produced no result"),
                 "traceback": message.get("traceback"),
             }
-            if message.get("kind") == "timeout":  # fork-mode child overran
+            if timed_out:
                 failure["kind"] = "timeout"
             self._send(failure)
-        if sandbox is not None:
-            sandbox.destroy()
+        sandbox.destroy()
 
-    def _expire_invocation(
-        self, handle: _LibraryHandle, task_id: int, entry: tuple
+    def _kill_timed_out(
+        self, handle: _LibraryHandle, task_id: int, timeout: float
     ) -> None:
-        """Loop timer at a direct-mode deadline: the invocation overran if
-        ``entry`` is still its deadline on a live instance."""
-        if handle.deadlines.get(task_id) is entry and handle.instance_id in self.libraries:
-            self._kill_timed_out(handle, task_id)
-
-    def _kill_timed_out(self, handle: _LibraryHandle, task_id: int) -> None:
         """Enforce a direct-mode wall-clock deadline.
 
         Direct execution shares the library process, so the only way to
         stop an overrunning invocation is to kill the whole instance.
-        The victim is reported as a timeout; sibling invocations staged
-        on the same instance are innocent, so the manager is asked to
-        requeue (not fail) them; finally the instance itself is reported
-        failed with a ``timeout`` kind so the manager does not poison
-        the library's queue.
+        The victim is reported as a timeout, then the instance itself is
+        reported failed with a ``timeout`` kind: the manager requeues
+        (does not fail) the innocent siblings still bound to it and does
+        not poison the library's queue.
         """
-        _, timeout = handle.deadlines.pop(task_id)
         self.log.warning(
             "invocation %d exceeded its %.1fs timeout; killing library %d",
             task_id, timeout, handle.instance_id,
@@ -972,8 +935,6 @@ class Worker:
             instance=handle.instance_id,
         )
         self._signal(handle, signal.SIGKILL)
-        sandbox = handle.invocations.pop(task_id, None)
-        handle.staging.pop(task_id, None)
         self._send(
             {
                 "type": "task_failed",
@@ -985,22 +946,6 @@ class Worker:
                 ),
             }
         )
-        if sandbox is not None:
-            sandbox.destroy()
-        for sibling in list(handle.invocations):
-            handle.deadlines.pop(sibling, None)
-            handle.staging.pop(sibling, None)
-            self._send(
-                {
-                    "type": "task_failed",
-                    "task_id": sibling,
-                    "kind": "requeue",
-                    "error": "library instance killed (sibling invocation timed out)",
-                }
-            )
-            sibling_sandbox = handle.invocations.pop(sibling)
-            if sibling_sandbox is not None:
-                sibling_sandbox.destroy()
         self._send(
             {
                 "type": "library_failed",
@@ -1030,9 +975,7 @@ class Worker:
                     "traceback": stderr,
                 }
             )
-            dead_sandbox = handle.invocations.pop(task_id)
-            if dead_sandbox is not None:
-                dead_sandbox.destroy()
+            handle.invocations.pop(task_id).destroy()
         self._send(
             {
                 "type": "library_failed",
@@ -1065,8 +1008,7 @@ class Worker:
             self.loop.remove(handle.listener)
             handle.listener.close()
         for sandbox in handle.invocations.values():
-            if sandbox is not None:
-                sandbox.destroy()
+            sandbox.destroy()
         self._stop_instance(handle)
 
     def _stop_instance(self, handle: _LibraryHandle) -> None:
