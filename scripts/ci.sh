@@ -61,6 +61,13 @@ if grep -nF -e '"--spec"' src/repro/engine/{worker,library_main}.py \
     || grep -nE '^(from|import) repro\.' src/repro/{engine,util,obs,discover,serialize}/__init__.py | grep -vE ':(from|import) repro\.errors\b'; then
     echo "FAIL: a per-instance library start, a piped child stderr or an eager package import is back"; exit 1
 fi
+# One invocation path: every invocation travels on its instance's own
+# link to the manager, and the worker relays nothing — no invocation
+# handler in the worker, no args file between a worker and an instance.
+if grep -nE '_on_invocation|unpack_invocations|_finish_invocation|invocation_batch' src/repro/engine/worker.py \
+    || grep -nF 'ARGS_FILE' src/repro/engine/library_main.py; then
+    echo "FAIL: a worker invocation relay is back; every invocation travels on its instance's link"; exit 1
+fi
 # One perf harness: no committed baseline files, no regression floors.
 # (Last letters bracketed so the pattern cannot match this script.)
 if grep -rnIE --exclude-dir=out 'floor_rati[o]|REPRO_WRITE_BASELIN[E]' src scripts tests examples benchmarks || compgen -G 'BENCH_*.json'; then echo "FAIL: the baseline-file perf harness is back; benchmarks/ladder/run.py is the one benchmark"; exit 1; fi

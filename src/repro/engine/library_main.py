@@ -16,11 +16,12 @@ context.  The forked instance (:class:`LibraryServer`)
 3. reconstructs every function of the context into one shared namespace,
 4. executes all context-setup functions,
 5. notifies the worker that it is ready, and
-6. serves invocations from both links in one event loop — *direct*
-   (synchronous, in-process) or *fork* (child process per invocation) —
-   until the worker tells it to shut down.  Direct invocations without
-   input files come from the manager and their results go straight back
-   to it; the worker relays only what it must stage in a sandbox.
+6. serves invocations from the manager's link — *direct* (synchronous,
+   in-process) or *fork* (child process per invocation) — and answers
+   each on that link, until the worker tells it to shut down.  A call
+   with input files runs in a sandbox the instance stages itself, by
+   hard links from its worker's cache directory.  The worker's link
+   carries only ``ready``/``startup_failed`` out and ``shutdown`` in.
 
 State sharing contract: functions reconstructed from source share one
 module namespace, so ``global model`` in the setup function is visible
@@ -45,75 +46,20 @@ import repro.serialize.source  # noqa: F401 - a context spec unpickles into Func
 from repro.engine import payloads
 from repro.engine.loop import EventLoop, Timer
 from repro.engine.messages import Connection, attach_trace, unpack_invocations
-from repro.engine.sandbox import ARGS_FILE, RESULT_FILE, STDERR_FILE
+from repro.engine.sandbox import RESULT_FILE, STDERR_FILE, Sandbox
 from repro.errors import SerializationError
 from repro.obs.trace import get_tracer
-from repro.serialize.core import (
-    deserialize,
-    deserialize_from_file,
-    serialize,
-    serialize_to_file,
-)
-
-
-def _serve_invocation_in(sandbox: str, fn, ns: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one fork-mode invocation whose args are staged in ``sandbox``.
-
-    Returns the outcome dict and writes the result file, mirroring
-    task_runner's format so the worker handles both identically.
-    (Direct-mode invocations skip the filesystem entirely — see
-    :meth:`LibraryServer._run_direct`.)
-    """
-    home = os.getcwd()
-    os.chdir(sandbox)
-    try:
-        load_started = time.monotonic()
-        try:
-            spec = deserialize_from_file(os.path.join(sandbox, ARGS_FILE))
-            args = spec.get("args", ())
-            kwargs = spec.get("kwargs", {})
-            args, kwargs = payloads.resolve_args(
-                args, kwargs, payloads.ResolvedArgCache(), deserialize
-            )
-        except Exception as exc:
-            outcome: Dict[str, Any] = {
-                "ok": False,
-                "error": f"bad arguments: {exc}",
-                "traceback": traceback.format_exc(),
-                "times": {"invoc_overhead": time.monotonic() - load_started, "exec_time": 0.0},
-            }
-            serialize_to_file(outcome, os.path.join(sandbox, RESULT_FILE))
-            return outcome
-        invoc_overhead = time.monotonic() - load_started
-        exec_started = time.monotonic()
-        try:
-            value = fn(*args, **kwargs)
-            outcome = {"ok": True, "value": value}
-        except BaseException as exc:
-            outcome = {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-            }
-        outcome["times"] = {
-            "invoc_overhead": invoc_overhead,
-            "exec_time": time.monotonic() - exec_started,
-        }
-        serialize_to_file(outcome, os.path.join(sandbox, RESULT_FILE))
-        return outcome
-    finally:
-        os.chdir(home)
+from repro.serialize.core import deserialize, deserialize_from_file, serialize
 
 
 class LibraryServer:
     """One instance: context setup once, then invocations until the
     worker says ``shutdown``.
 
-    It serves two peers from one event loop.  The manager's link carries
-    direct-mode invocations that need no input files, and their results
-    go straight back on it.  The worker's link carries everything the
-    worker must stage in a sandbox (fork mode, input files) plus the
-    lifecycle frames; those results go back to the worker.
+    Its one event loop watches two peers.  The manager's link carries
+    every invocation, and every answer goes back on it.  The worker's
+    link carries the lifecycle frames; a loss of either link ends the
+    instance.
     """
 
     def __init__(
@@ -126,8 +72,10 @@ class LibraryServer:
         manager: Tuple[str, int],
         token: str,
         shm: bool = False,
+        cache: str = "",
     ):
         self.spec_path = spec_path
+        self.cache = cache  # the worker's cache directory: inputs link from it
         self.socket_path = socket_path
         self.env_dir = env_dir
         self.instance_id = instance_id
@@ -138,8 +86,8 @@ class LibraryServer:
         self.shm_to_manager = shm and payloads.enabled()
         self.library_name = ""
         # Forwarding tracer: events piggyback on whichever frame leaves
-        # next — a result to the manager, or a frame to the worker, which
-        # relays them.
+        # next — an answer to the manager, or ``ready`` to the worker,
+        # which relays them.
         self.tracer = get_tracer(f"library.{instance_id or os.getpid()}")
         self.namespace: Dict[str, Any] = {}
         self.functions: Dict[str, Any] = {}
@@ -147,11 +95,13 @@ class LibraryServer:
         self.worker: Connection | None = None
         self.manager: Connection | None = None
         self.serving = True
-        # Fork-mode children: pid -> (task id, pidfd, deadline timer).  An
-        # overdue child is SIGKILLed and reported as a timeout — the
-        # library itself survives, unlike direct mode where the worker
-        # must kill the whole instance.
-        self.children: Dict[int, Tuple[int, int, Timer | None]] = {}
+        # Fork-mode children: pid -> (task id, pidfd, deadline timer,
+        # sandbox, staging seconds).  An overdue child is SIGKILLed and
+        # reported as a timeout — the library itself survives, unlike
+        # direct mode where the worker must kill the whole instance.
+        self.children: Dict[
+            int, Tuple[int, int, Timer | None, Sandbox, float]
+        ] = {}
         self.timed_out: Set[int] = set()
         self.setup_time = 0.0
         # Deserialized declare_argument values, keyed by content digest.
@@ -252,38 +202,64 @@ class LibraryServer:
         self.serving = False  # either peer gone: nothing more to serve
 
     def _on_worker_frame(self, message: Dict[str, Any], payload: bytes) -> None:
-        mtype = message["type"]
-        if mtype == "shutdown":
+        if message["type"] == "shutdown":
             self.serving = False
-        elif mtype == "invoke":
-            self._invoke(self.worker, message, payload)
         # unknown types are ignored: forward compatibility
 
     def _on_manager_frame(self, message: Dict[str, Any], payload: bytes) -> None:
         for header, blob in unpack_invocations(message, payload):
-            self._invoke(self.manager, header, blob)
+            self._invoke(header, blob)
 
-    def _invoke(self, conn: Connection, message: Dict[str, Any], payload: bytes) -> None:
-        """Run one invocation and answer on ``conn``, the link it came
-        in on.  A direct one answers with a ``result`` frame carrying the
-        timing keys a relaying worker adds; a fork-mode one (always
-        relayed) answers once its child exits."""
+    def _answer(self, frame: Dict[str, Any], blob: bytes = b"") -> None:
+        self.loop.send(self.manager, attach_trace(frame, self.tracer), blob)
+
+    def _invoke(self, message: Dict[str, Any], payload: bytes) -> None:
+        """Run one invocation and answer it on the manager's link: a
+        direct one at once, a fork-mode one once its child exits.  One
+        with input files, and every fork-mode one (its child leaves the
+        outcome in a file), runs in a sandbox of its own."""
         task_id = message["task_id"]
         fn = self.functions.get(message["function"])
         if fn is None:
-            self.loop.send(
-                conn,
+            self._answer(
                 {
                     "type": "task_failed",
                     "task_id": task_id,
                     "error": f"library has no function {message['function']!r}",
-                },
+                }
             )
             return
-        if message.get("mode") == "fork":
-            self._fork_invocation(message, fn)
+        fork = message.get("mode") == "fork"
+        sandbox = None
+        staging = 0.0
+        if fork or "inputs" in message:
+            started = time.monotonic()
+            try:
+                sandbox = self._stage(task_id, message.get("inputs", ()))
+            except Exception as exc:
+                frame = {
+                    "type": "task_failed",
+                    "task_id": task_id,
+                    "error": f"staging failed: {type(exc).__name__}: {exc}",
+                }
+                if isinstance(exc, FileNotFoundError):
+                    # Evicted from the worker's cache after the worker
+                    # confirmed it: the manager hands the call back.
+                    frame["kind"] = "requeue"
+                self._answer(frame)
+                return
+            staging = time.monotonic() - started
+            self.tracer.record(
+                "stage_done", task_id=str(task_id), kind="invocation", seconds=staging
+            )
+        if fork:
+            self._fork_invocation(message, payload, fn, sandbox, staging)
             return
-        outcome = self._run_direct(message, payload, fn)
+        try:
+            outcome = self._run_direct(message, payload, fn, sandbox)
+        finally:
+            if sandbox is not None:
+                sandbox.destroy()
         times = outcome["times"]
         self.tracer.record(
             "library_invoke",
@@ -293,26 +269,44 @@ class LibraryServer:
             seconds=times["exec_time"],
             invoc_overhead=times["invoc_overhead"],
         )
+        try:
+            blob = serialize(outcome)
+        except SerializationError as exc:
+            self._answer({"type": "task_failed", "task_id": task_id, "error": str(exc)})
+            return
+        self._send_result(
+            task_id, blob, dict(times, staging=staging, worker_overhead=0.0)
+        )
+
+    def _send_result(self, task_id: int, blob: bytes, times: Dict[str, Any]) -> None:
+        """A serialized outcome to the manager: a big one as a one-shot
+        segment when the manager can attach it, otherwise inline."""
         frame: Dict[str, Any] = {
             "type": "result",
             "task_id": task_id,
             "kind": "invocation",
-            "times": dict(times, staging=0.0, worker_overhead=0.0),
+            "times": times,
         }
-        # Library and worker always share a host; the manager may not.
-        shm = self.shm_to_manager if conn is self.manager else payloads.enabled()
-        try:
-            blob = serialize(outcome)
-        except SerializationError as exc:
-            frame = {"type": "task_failed", "task_id": task_id, "error": str(exc)}
-            blob = b""
-        if shm and len(blob) >= payloads.threshold_bytes():
+        if self.shm_to_manager and len(blob) >= payloads.threshold_bytes():
             try:
                 frame["payload_shm"] = payloads.publish_once(blob)
                 blob = b""
             except payloads.PayloadError:
                 pass  # shm creation failed; ship inline
-        self.loop.send(conn, attach_trace(frame, self.tracer), blob)
+        self._answer(frame, blob)
+
+    def _stage(self, task_id: int, inputs) -> Sandbox:
+        """A fresh sandbox in this instance's directory, with each input
+        hard-linked from the worker's cache (same host, same filesystem).
+        A link outlives a later eviction of its cache entry."""
+        sandbox = Sandbox(os.path.dirname(self.spec_path), f"invoc-{task_id}")
+        try:
+            for item in inputs:
+                sandbox.stage(os.path.join(self.cache, item["hash"]), item["name"])
+        except BaseException:
+            sandbox.destroy()
+            raise
+        return sandbox
 
     def _load_direct_args(self, message: Dict[str, Any], payload: bytes):
         """Materialize a direct invocation's (args, kwargs) from the frame.
@@ -335,18 +329,17 @@ class LibraryServer:
         return payloads.resolve_args(args, kwargs, self.arg_cache, deserialize)
 
     def _run_direct(
-        self, message: Dict[str, Any], payload: bytes, fn
+        self, message: Dict[str, Any], payload: bytes, fn, sandbox: Sandbox | None
     ) -> Dict[str, Any]:
-        """Execute a direct invocation without touching the filesystem.
+        """Execute an invocation, in ``sandbox`` when it has one.
 
         Args arrive on the invocation frame (or in shared memory) and the
-        result leaves on a frame (or as a one-shot segment); the sandbox
-        is only entered when the worker staged input files for it.
+        outcome is returned for the caller to ship: nothing here reads or
+        writes a file.
         """
-        sandbox = message.get("sandbox")
-        home = os.getcwd()
-        if sandbox:
-            os.chdir(sandbox)
+        if sandbox is not None:
+            home = os.getcwd()
+            os.chdir(sandbox.path)
         try:
             load_started = time.monotonic()
             try:
@@ -378,14 +371,20 @@ class LibraryServer:
             }
             return outcome
         finally:
-            if sandbox:
+            if sandbox is not None:
                 os.chdir(home)
 
-    def _fork_invocation(self, message: Dict[str, Any], fn) -> None:
-        """Run one invocation in a forked child that reads its args file
-        and writes its result file in the sandbox; a pidfd in the loop
-        reports its exit, a timer its deadline."""
-        sandbox = message["sandbox"]
+    def _fork_invocation(
+        self,
+        message: Dict[str, Any],
+        payload: bytes,
+        fn,
+        sandbox: Sandbox,
+        staging: float,
+    ) -> None:
+        """Run one invocation in a forked child — the same ``_run_direct``,
+        in the sandbox, its serialized outcome left in the result file; a
+        pidfd in the loop reports its exit, a timer its deadline."""
         pid = os.fork()
         if pid == 0:
             # Child: run the invocation in the inherited (already set up)
@@ -396,7 +395,8 @@ class LibraryServer:
                 self.loop.close()
                 self.worker.close()
                 self.manager.close()
-                _serve_invocation_in(sandbox, fn, self.namespace)
+                outcome = self._run_direct(message, payload, fn, sandbox)
+                sandbox.write(RESULT_FILE, serialize(outcome))
             except BaseException:
                 code = 1
             os._exit(code)
@@ -407,7 +407,7 @@ class LibraryServer:
             timer = self.loop.call_at(
                 time.monotonic() + float(timeout), partial(self._kill_child, pid)
             )
-        self.children[pid] = (message["task_id"], pidfd, timer)
+        self.children[pid] = (message["task_id"], pidfd, timer, sandbox, staging)
         self.loop.add_reader(pidfd, partial(self._reap, pid))
 
     def _kill_child(self, pid: int) -> None:
@@ -418,40 +418,55 @@ class LibraryServer:
             pass
 
     def _reap(self, pid: int) -> None:
-        """A fork-mode child exited: report it to the worker."""
-        task_id, pidfd, timer = self.children.pop(pid)
+        """A fork-mode child exited: answer its invocation the way a
+        direct one is answered, from the result file it left."""
+        task_id, pidfd, timer, sandbox, staging = self.children.pop(pid)
         self.loop.remove(pidfd)
         os.close(pidfd)
         _, status = os.waitpid(pid, 0)
         if timer is not None:
             timer.cancel()
-        frame: Dict[str, Any] = {
-            "type": "complete",
-            "task_id": task_id,
-            "ok": os.waitstatus_to_exitcode(status) == 0,
-            "times": {},
-        }
-        if pid in self.timed_out:
-            self.timed_out.discard(pid)
-            frame["ok"] = False
-            frame["kind"] = "timeout"
-            frame["error"] = "fork-mode invocation exceeded its wall-clock timeout"
-        # Fork-mode timings live in the child's result file; the parent
-        # only knows the outcome, so the event carries no span.
-        self.tracer.record(
-            "library_invoke", task_id=str(task_id), ok=bool(frame["ok"]), mode="fork"
-        )
-        self.loop.send(self.worker, attach_trace(frame, self.tracer))
+        timed_out = pid in self.timed_out
+        self.timed_out.discard(pid)
+        ok = not timed_out and os.waitstatus_to_exitcode(status) == 0
+        # Fork-mode timings live in the child's outcome; the parent only
+        # knows how the child ended, so the event carries no span.
+        self.tracer.record("library_invoke", task_id=str(task_id), ok=ok, mode="fork")
+        if ok:
+            self._send_result(
+                task_id,
+                sandbox.read(RESULT_FILE),
+                {"staging": staging, "worker_overhead": 0.0},
+            )
+        elif timed_out:
+            self._answer(
+                {
+                    "type": "task_failed",
+                    "task_id": task_id,
+                    "kind": "timeout",
+                    "error": "fork-mode invocation exceeded its wall-clock timeout",
+                }
+            )
+        else:
+            self._answer(
+                {
+                    "type": "task_failed",
+                    "task_id": task_id,
+                    "error": "invocation produced no result",
+                }
+            )
+        sandbox.destroy()
 
     def _end_children(self) -> None:
         """Leaving: results have nowhere to go, so no child outlives us."""
-        for pid, (_, pidfd, _) in self.children.items():
+        for pid, (_, pidfd, _, sandbox, _) in self.children.items():
             try:
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
             os.close(pidfd)
+            sandbox.destroy()
         self.children.clear()
 
 
@@ -551,6 +566,7 @@ class Template:
                 manager=tuple(message["manager"]),
                 token=message["token"],
                 shm=bool(message.get("shm")),
+                cache=message["cache"],
             ).serve()
         except BaseException:
             traceback.print_exc()

@@ -27,15 +27,15 @@ frame, and all control frames of a round share one buffered socket
 flush per link.
 
 Every library instance keeps its own framed link to the manager
-(``attach`` with a per-instance token, before it reports ready).  An
-invocation that needs nothing from the worker's filesystem — direct
-mode, no input files — goes down that link and its result comes
-straight back; fork-mode invocations and those with input files are
-relayed by the worker, which also keeps instance lifecycle, the file
-cache and sandboxes.  The worker link stays the failure authority: a
-result is applied only if its task is still bound to the instance that
-sent it, and losing an instance link asks the worker to remove the
-instance.
+(``attach`` with a per-instance token, before it reports ready), and
+every invocation goes down that link and its result comes straight
+back; the worker keeps instance lifecycle and the file cache.  An
+invocation with input files is held until its worker confirms each
+input present (``cache_update``), since the instance stages them from
+that worker's cache itself.  The worker link stays the failure
+authority: a result is applied only if its task is still bound to the
+instance that sent it, and a lost instance link only takes the instance
+out of scheduling until the worker reports its exit.
 
 Failure semantics (see DESIGN.md "Failure semantics"):
 
@@ -102,12 +102,6 @@ from repro.serialize.core import deserialize, serialize
 from repro.util.logging import get_logger
 
 
-# How long an instance whose link closed keeps its seat before the
-# manager asks its worker to remove it: ample for the worker to notice
-# the process is gone and say so.
-_UNLINKED_GRACE_S = 1.0
-
-
 def _reclaim_result_segment(message: Dict[str, Any]) -> None:
     """Nobody will read the one-shot segment of a result that is not
     applied; unlink it."""
@@ -131,6 +125,9 @@ class _WorkerLink:
     status: Dict[str, Any] = field(default_factory=dict)  # last status report
     last_seen: float = 0.0  # monotonic stamp of the last received frame
     shm: bool = False  # worker shares the manager's shared-memory domain
+    # Invocations bound to an instance here, waiting for their inputs to
+    # be confirmed: (task id, instance id, input hashes, (header, blob)).
+    held: List[tuple] = field(default_factory=list)
 
 
 @dataclass
@@ -250,9 +247,9 @@ class Manager:
         # hash -> worker names confirmed to hold the file (peer-transfer
         # source lookup without scanning every _WorkerLink).
         self._file_holders: Dict[str, Set[str]] = {}
-        # link (worker or instance) -> invocation frames accumulated
-        # during the current dispatch round, coalesced into one frame
-        # per link on flush.
+        # instance link -> invocation frames accumulated during the
+        # current dispatch round, coalesced into one frame per link on
+        # flush.
         self._outbox: Dict[messages.Connection, List[tuple]] = {}
         self._completed: Deque[Task] = collections.deque()
         self._closed = False
@@ -658,13 +655,12 @@ class Manager:
     def _perflog_snapshot(self) -> Dict[str, Any]:
         """One perflog sample from the manager's bookkeeping (cheap reads)."""
         now = time.monotonic()
-        cache_bytes = cache_pinned = rss = busy = 0
+        cache_bytes = cache_pinned = rss = 0
         for link in self._workers.values():
             report = link.status
             cache_bytes += int(report.get("cache_bytes", 0) or 0)
             cache_pinned += int(report.get("cache_pinned", 0) or 0)
             rss += int(report.get("rss_bytes", 0) or 0)
-            busy += int(report.get("busy_slots", 0) or 0)
         dispatched = (
             self.stats["invocations_dispatched"] + self.stats["tasks_dispatched"]
         )
@@ -686,7 +682,7 @@ class Manager:
             cache_bytes=cache_bytes,
             cache_pinned=cache_pinned,
             rss_bytes=rss,
-            busy_slots=busy,
+            busy_slots=len(self.state.running),
             dispatch_rate=rate,
             queue_depths=self.state.queue_depths(),
             contexts=self._context_snapshot(),
@@ -1021,8 +1017,8 @@ class Manager:
             queue.appendleft(task)
 
     def _flush_round(self) -> None:
-        """Coalesce this round's invocations into one frame per link
-        (instance or worker) and drain every link's buffered control
+        """Coalesce this round's invocations into one frame per instance
+        link and drain every link's buffered control
         traffic with vectored writes (the batch frame, its length
         prefixes, and each argument blob go out as separate iovecs of one
         ``sendmsg`` — no joins)."""
@@ -1048,8 +1044,10 @@ class Manager:
         """Make ``f`` present in ``link``'s cache before the next command.
 
         Messages are handled in order on the worker, so sending the file
-        (or a transfer directive) immediately before the task command is
-        sufficient; no acknowledgement round-trip is required.
+        (or a transfer directive) immediately before a task or library
+        command is sufficient; no acknowledgement round-trip is required.
+        An invocation travels on another link, so it waits for the
+        ``cache_update`` instead (``_settle_held``).
         """
         if f.hash in link.cached or f.hash in link.assumed:
             return
@@ -1266,41 +1264,36 @@ class Manager:
         return True
 
     def _dispatch_invocation(self, task: FunctionCall, inst: LibraryInstance) -> None:
-        """Bind ``task`` to ``inst`` and stage its frame in the round outbox.
+        """Bind ``task`` to ``inst`` and stage its frame for the instance's
+        own link.
 
-        A direct-mode invocation without input files goes down the
-        instance's own link; one that needs the worker's filesystem (input
-        files, or fork mode's sandbox) is relayed by the worker, behind
-        the ``put_file`` frames staging its inputs on the same connection.
         The frame is not written to the socket here: ``_flush_round``
         coalesces every invocation bound for the same link in this
-        dispatch round into a single ``invocation_batch`` message.
+        dispatch round into a single ``invocation_batch`` message.  One
+        with input files the worker has not yet confirmed waits on its
+        link's hold list instead (``_settle_held``): the instance stages
+        inputs from the worker's cache itself, so the ``put_file`` must
+        have landed first.
         """
         library = self._libraries[task.library_name]
         link = self._link_for(inst.worker)
-        transfer_started = time.monotonic()
-        for f in task.inputs:  # per-invocation input files, if any
-            self._ensure_file(link, f)
-        if task.inputs:
-            task.mark(
-                "overhead.manager_transfer", time.monotonic() - transfer_started
-            )
-        serialize_started = time.monotonic()
-        payload = self._serialize_args(task, link)
-        task.mark("overhead.code_serialize", time.monotonic() - serialize_started)
-        mode = (task.exec_mode or library.exec_mode).value
         header: Dict[str, Any] = {"task_id": task.id, "function": task.function_name}
-        if mode == "direct" and not task.inputs:
-            conn = self._instances[inst.instance_id].conn
-        else:
-            conn = link.conn
-            header["instance_id"] = inst.instance_id
-            header["mode"] = mode
+        if task.inputs:  # per-invocation input files
+            transfer_started = time.monotonic()
+            for f in task.inputs:
+                self._ensure_file(link, f)
+            task.mark("overhead.manager_transfer", time.monotonic() - transfer_started)
             header["inputs"] = [
                 {"hash": f.hash, "name": f.remote_name} for f in task.inputs
             ]
+        serialize_started = time.monotonic()
+        payload = self._serialize_args(task, link)
+        task.mark("overhead.code_serialize", time.monotonic() - serialize_started)
+        fork = (task.exec_mode or library.exec_mode) is ExecMode.FORK
+        if fork:
+            header["mode"] = "fork"
         if task.timeout is not None:
-            if mode == "fork":  # the library kills just the overdue child
+            if fork:  # the library kills just the overdue child
                 header["timeout"] = task.timeout
             else:  # only the worker can stop it: by killing the instance
                 self.loop.call_at(
@@ -1311,7 +1304,12 @@ class Manager:
         if descriptor is not None:
             header["args_shm"] = descriptor
             payload = b""
-        self._outbox.setdefault(conn, []).append((header, payload))
+        if task.inputs and not all(f.hash in link.cached for f in task.inputs):
+            inputs = {f.hash for f in task.inputs}
+            link.held.append((task.id, inst.instance_id, inputs, (header, payload)))
+        else:
+            conn = self._instances[inst.instance_id].conn
+            self._outbox.setdefault(conn, []).append((header, payload))
         # Warm/cold classification, before start_invocation mutates the
         # slot counts: a warm invocation lands on an instance that has
         # already served or is concurrently serving work (its context is
@@ -1446,17 +1444,15 @@ class Manager:
         )
         return True
 
-    def _request_removal(self, record: _InstanceRecord) -> messages.Connection:
+    def _request_removal(self, record: _InstanceRecord) -> None:
         """Take an instance out of scheduling and stage ``remove_library``
-        on its worker's link, which is returned for flushing; the seat is
-        freed when the worker answers ``library_removed``."""
+        on its worker's link; the seat is freed when the worker answers
+        ``library_removed``."""
         record.removing = True
         self.placement.mark_removing(record.instance)
-        conn = self._link_for(record.instance.worker).conn
-        conn.send_buffered(
+        self._link_for(record.instance.worker).conn.send_buffered(
             {"type": "remove_library", "instance_id": record.instance.instance_id}
         )
-        return conn
 
     def _forget_instance(self, instance_id: int) -> Optional[_InstanceRecord]:
         """Drop an instance's record and close its link."""
@@ -1486,16 +1482,11 @@ class Manager:
             self._on_result(message, payload)
 
     def _instance_link_lost(self, record: _InstanceRecord, reason: str) -> None:
-        """An instance's link closed.  While the instance is registered
-        this is a request to remove it; the worker's ``library_removed``
-        or ``library_failed`` then settles whatever was bound to it.
-
-        Nothing is dispatched to it from now on, but the request waits
-        out a grace period: a link usually closes because the process
-        died, and then the worker's own ``library_failed`` — the verdict
-        that fails the calls the crash took with it instead of retrying
-        them — must not lose a race against a removal it never asked for.
-        """
+        """An instance's link closed.  Nothing is dispatched to it from
+        now on, and nothing else happens here: a lost link ends the
+        instance's ``serve()``, so its worker reports the exit, and that
+        ``library_failed`` (or ``_worker_lost``, if the worker link goes
+        too) settles whatever was bound to it."""
         record.conn.close()
         record.conn = None
         if self._instances.get(record.instance.instance_id) is not record or record.removing:
@@ -1506,13 +1497,6 @@ class Manager:
         )
         record.removing = True
         self.placement.mark_removing(record.instance)
-        self.loop.call_at(
-            time.monotonic() + _UNLINKED_GRACE_S, partial(self._remove_unlinked, record)
-        )
-
-    def _remove_unlinked(self, record: _InstanceRecord) -> None:
-        if self._instances.get(record.instance.instance_id) is record:
-            self.loop.flush(self._request_removal(record))
 
     def _expire_invocation(self, task_id: int, instance_id: int) -> None:
         """Loop timer at a direct-mode deadline: an invocation still bound
@@ -1557,6 +1541,8 @@ class Manager:
             else:
                 link.cached.discard(digest)
                 self._drop_holder(digest, link.name)
+            if link.held:
+                self._settle_held(link, digest, message)
         elif mtype == "library_ready":
             self._on_library_ready(message)
         elif mtype == "library_failed":
@@ -1568,6 +1554,35 @@ class Manager:
         elif mtype == "task_failed":
             self._on_task_failed(message)
         # unknown worker messages are tolerated for forward compatibility
+
+    def _settle_held(
+        self, link: _WorkerLink, digest: str, message: Dict[str, Any]
+    ) -> None:
+        """A ``cache_update`` for ``digest`` on ``link``: send each held
+        invocation whose inputs are now all present down its instance's
+        link, and requeue, without blame, each whose input is absent."""
+        held, link.held = link.held, []
+        for entry in held:
+            task_id, instance_id, inputs, frame = entry
+            if digest not in inputs:
+                link.held.append(entry)
+            elif self.state.invocation_instance.get(task_id) != instance_id:
+                continue  # settled meanwhile: its instance failed or left
+            elif not message.get("present"):
+                self._on_task_failed({
+                    "type": "task_failed",
+                    "task_id": task_id,
+                    "kind": "requeue",
+                    "error": message.get("error") or "input evicted before use",
+                })
+            elif not all(h in link.cached for h in inputs):
+                link.held.append(entry)
+            else:
+                conn = self._instances[instance_id].conn
+                if conn is not None:  # else lost: the exit report settles it
+                    self._outbox.setdefault(conn, []).append(frame)
+        if self._outbox:
+            self._flush_round()
 
     def _fold_heartbeat(self, worker: str, report: Dict[str, Any]) -> None:
         """Fold one worker's resource heartbeat into per-worker gauges.
@@ -1856,10 +1871,10 @@ class Manager:
         self._cold_instance.pop(task.id, None)
         kind = message.get("kind")
         if kind == "requeue":
-            # Worker-initiated requeue: the task was an innocent casualty
-            # (e.g. its library instance was killed because a *sibling*
-            # invocation timed out).  No blame — the worker is healthy —
-            # but the attempt still counts against the retry budget.
+            # The task was an innocent casualty (its library instance was
+            # killed because a *sibling* invocation timed out, or an input
+            # went missing before it ran).  No blame — the worker is
+            # healthy — but the attempt still counts against the budget.
             self._requeue_task(task, blame=None)
             return
         if kind == "timeout":

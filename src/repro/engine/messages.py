@@ -67,19 +67,18 @@ def attach_trace(message: Dict[str, Any], tracer) -> Dict[str, Any]:
 # per-worker gauges by the manager.  Kept as a named constant so the
 # telemetry tests can assert the field set stays stable.
 #
-# Invocations that need nothing from the worker's filesystem travel on
-# each instance's own link to the manager and never pass through the
-# worker, so ``busy_slots`` and ``payload_bytes_*`` count only what the
-# worker relays: plain tasks, fork-mode invocations and invocations with
-# input files.
+# Invocations travel on each instance's own link to the manager and
+# never pass through the worker, so ``busy_slots`` and ``payload_bytes_*``
+# count the worker's plain tasks only.  (The perflog's fleet-wide
+# ``busy_slots`` comes from the manager's running set instead.)
 HEARTBEAT_FIELDS = (
     "rss_bytes",       # worker process resident set size
-    "busy_slots",      # running tasks + invocations relayed to libraries
+    "busy_slots",      # running PythonTasks
     "cache_bytes",     # bytes resident in the worker cache
     "cache_pinned",    # pinned cache entries
     "libraries_live",  # library instances whose process is alive
-    "payload_bytes_copied",  # relayed result/argument bytes moved through sockets
-    "payload_bytes_mapped",  # relayed result/argument bytes handed off via shm
+    "payload_bytes_copied",  # task argument/result bytes moved through sockets
+    "payload_bytes_mapped",  # task argument/result bytes handed off via shm
 )
 _RECV_CHUNK = 1 << 16  # read ahead in 64 KiB chunks; leftovers stay buffered
 _IOV_MAX = 64  # buffers per sendmsg call (well under every platform's IOV_MAX)

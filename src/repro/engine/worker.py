@@ -11,17 +11,18 @@ thread serving peer file transfers) that:
   per-library Unix sockets.  Instances are forked from one warm
   *template* process per worker (``library_main.Template``), started
   while the worker registers; the template reports each instance's pid
-  and, once reaped, its exit.  Each instance also dials the manager
-  itself, and every invocation that needs nothing from this worker's
-  filesystem travels on that link; the worker relays only fork-mode
-  invocations and those with input files, into a sandbox, and kills an
-  instance whose direct-mode deadline the manager reports (``expire``);
+  and, once reaped, its exit.  Each instance dials the manager itself,
+  and every invocation travels on that link: the worker relays none.
+  An instance stages a call's input files from this worker's cache
+  directory itself.  The worker kills an instance whose direct-mode
+  deadline the manager reports (``expire``);
 * serves cached files to peer workers (Figure 3b spanning-tree transfers).
 
 Messages are processed in arrival order, so a ``put_file`` that precedes
-a ``task`` (or a relayed invocation) is guaranteed visible by execution
-time — the manager relies on this to stage inputs without an extra round
-trip.
+a ``task`` or a ``library`` is guaranteed visible by execution time —
+the manager relies on this to stage inputs without an extra round trip.
+Invocations arrive on another link, so the manager holds one with input
+files until this worker's ``cache_update`` confirms them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import threading
 import time
 import traceback
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional
 
@@ -117,10 +118,6 @@ class _LibraryHandle:
     orphaned: bool = False
     report_removed: bool = False  # the manager awaits ``library_removed``
     kill_timer: Optional[Timer] = None  # SIGKILL escalation while leaving
-    # task_id -> sandbox of each invocation relayed through this worker
-    # (fork mode, or input files); the rest never pass through here.
-    invocations: Dict[int, Sandbox] = field(default_factory=dict)
-    staging: Dict[int, float] = field(default_factory=dict)
 
 
 class _TransferServer(threading.Thread):
@@ -234,8 +231,8 @@ class Worker:
         self._task_poll: Optional[Timer] = None  # 20 ms, while tasks run
         self._running = True
         # Data-plane accounting mirrored to the manager in status
-        # heartbeats: bytes relayed through sockets vs. handed off as
-        # shared-memory descriptors.
+        # heartbeats: task argument/result bytes moved through sockets
+        # vs. handed off as shared-memory descriptors.
         self.payload_copied = 0
         self.payload_mapped = 0
         # True once the welcome frame proves the manager shares this
@@ -318,19 +315,15 @@ class Worker:
         round trips — and the manager folds them into per-worker gauges.
         """
         cache_stats = self.cache.stats()
-        active_invocations = sum(
-            len(h.invocations) for h in self.libraries.values()
-        )
         report = {
             "cache": cache_stats,
             "running_tasks": len(self.tasks),
             "libraries": len(self.libraries),
             "ready_libraries": sum(1 for h in self.libraries.values() if h.ready),
-            "active_invocations": active_invocations,
             "peer_bytes_served": self.transfer_server.bytes_served,
             # HEARTBEAT_FIELDS (messages.py): stable resource extras.
             "rss_bytes": rss_bytes(),
-            "busy_slots": len(self.tasks) + active_invocations,
+            "busy_slots": len(self.tasks),
             "cache_bytes": int(cache_stats.get("bytes", 0)),
             "cache_pinned": int(cache_stats.get("pinned", 0)),
             "libraries_live": sum(
@@ -343,7 +336,6 @@ class Worker:
                     "library": h.library_name,
                     "ready": h.ready,
                     "alive": not h.exited,
-                    "active_invocations": len(h.invocations),
                 }
                 for h in self.libraries.values()
             },
@@ -394,7 +386,18 @@ class Worker:
 
     def _on_put_file(self, message: dict, payload: bytes) -> None:
         digest = message["hash"]
-        self.cache.insert_bytes(digest, payload)
+        try:
+            self.cache.insert_bytes(digest, payload)
+        except CacheError as exc:  # e.g. larger than the whole cache
+            self._send(
+                {
+                    "type": "cache_update",
+                    "hash": digest,
+                    "present": False,
+                    "error": f"{type(exc).__name__}: {exc}",
+                }
+            )
+            return
         self._send({"type": "cache_update", "hash": digest, "present": True})
 
     def _on_transfer(self, message: dict, payload: bytes) -> None:
@@ -585,6 +588,7 @@ class Worker:
                 "manager": self.manager.sock.getpeername()[:2],
                 "token": message["token"],
                 "shm": self.shm_to_manager,
+                "cache": self.cache.root,
             },
         )
         self.tracer.record(
@@ -683,79 +687,10 @@ class Worker:
             lambda reason: self._library_died(handle),
         )
 
-    def _on_invocation(self, message: dict, payload: bytes) -> None:
-        """Relay one invocation that needs this worker's filesystem —
-        input files staged from the cache, or fork mode's args/result
-        files — into a fresh sandbox and on to its instance.  (Direct-mode
-        invocations without inputs travel on the instance's own link to
-        the manager and never reach this worker.)"""
-        task_id = int(message["task_id"])
-        instance_id = int(message["instance_id"])
-        handle = self.libraries.get(instance_id)
-        if handle is None:
-            # The instance died (timeout kill, crash) while this dispatch
-            # was in flight; hand the invocation back for a retry rather
-            # than failing it — the retry budget bounds the loop.
-            self._send(
-                {
-                    "type": "task_failed",
-                    "task_id": task_id,
-                    "kind": "requeue",
-                    "error": f"no library instance {instance_id} on this worker",
-                }
-            )
-            return
-        staging_started = time.monotonic()
-        mode = message.get("mode", "direct")
-        descriptor = message.get("args_shm")
-        sandbox = Sandbox(self.sandbox_root, f"invoc-{task_id}-{uuid.uuid4().hex[:6]}")
-        for item in message.get("inputs", []):
-            sandbox.stage(self.cache.path_of(item["hash"]), item["name"])
-        frame = {
-            "type": "invoke",
-            "task_id": task_id,
-            "function": message["function"],
-            "mode": mode,
-            "sandbox": sandbox.path,
-        }
-        lib_payload: bytes = b""
-        if mode == "fork":  # the child reads the classic args file
-            if descriptor is not None:
-                args_blob = payloads.fetch(descriptor)  # store-owned; no unlink
-                self.payload_mapped += len(args_blob)
-            else:
-                args_blob = payload
-                self.payload_copied += len(args_blob)
-            sandbox.write(ARGS_FILE, args_blob)
-            if message.get("timeout"):  # the library kills the overdue child
-                frame["timeout"] = message["timeout"]
-        elif descriptor is not None:
-            # Library and worker always share a host: hand the
-            # descriptor through untouched (zero bytes moved here).
-            frame["args_shm"] = descriptor
-            self.payload_mapped += int(descriptor.get("size", 0))
-        else:
-            lib_payload = payload
-            self.payload_copied += len(payload)
-        handle.invocations[task_id] = sandbox
-        handle.staging[task_id] = time.monotonic() - staging_started
-        self.tracer.record(
-            "stage_done",
-            task_id=str(task_id),
-            kind="invocation",
-            seconds=handle.staging[task_id],
-        )
-        self.loop.send(handle.conn, frame, lib_payload)
-
-    def _on_invocation_batch(self, message: dict, payload: bytes) -> None:
-        """Fan a coalesced dispatch round back out to library instances."""
-        for header, blob in messages.unpack_invocations(message, payload):
-            self._on_invocation(header, blob)
-
     def _on_expire(self, message: dict, payload: bytes) -> None:
         """The manager's deadline for a direct-mode invocation passed
         while it was still running (the manager's loop keeps those
-        deadlines; the invocation may never have passed through here)."""
+        deadlines; invocations never pass through here)."""
         handle = self.libraries.get(int(message["instance_id"]))
         if handle is not None:  # else already gone; its report settles the call
             self._kill_timed_out(handle, int(message["task_id"]), message["timeout"])
@@ -794,8 +729,8 @@ class Worker:
         self, handle: _LibraryHandle, message: dict, payload: bytes
     ) -> None:
         # Relay library-side trace events: absorb() on a forwarding
-        # tracer re-queues them, so the next manager-bound frame (often
-        # the result this message triggers) carries them upstream.
+        # tracer re-queues them, so the next manager-bound frame (the
+        # ``library_ready`` this message triggers) carries them upstream.
         piggyback = message.get(messages.TRACE_KEY)
         if piggyback:
             self.tracer.absorb(piggyback)
@@ -822,92 +757,25 @@ class Worker:
                 }
             )
             self._terminate_library(handle)
-        elif mtype in ("result", "task_failed", "complete"):
-            self._finish_invocation(handle, message, payload)
         else:
             raise ProtocolError(f"unexpected library message {mtype!r}")
 
-    def _relay_result(
-        self,
-        task_id: int,
-        kind: str,
-        times: Dict[str, Any],
-        data: bytes = b"",
-        descriptor: Optional[dict] = None,
-    ) -> None:
-        """Forward one outcome to the manager, by descriptor when possible.
-
-        A shm-borne result from a library is handed to a shm-capable
-        manager as its descriptor (zero result bytes on either socket
-        hop); otherwise the bytes are materialized and shipped inline.
-        Large inline results are promoted into a one-shot segment when
-        the manager can attach it — the result then crosses the
-        manager link as a ~100-byte descriptor no matter its size.
-        """
-        frame = {"type": "result", "task_id": task_id, "kind": kind, "times": times}
-        if descriptor is not None and not self.shm_to_manager:
+    def _relay_result(self, task_id: int, times: Dict[str, Any], data: bytes) -> None:
+        """Forward a task's result file to the manager.  A large one is
+        promoted into a one-shot segment when the manager can attach it —
+        it then crosses the manager link as a ~100-byte descriptor no
+        matter its size."""
+        frame = {"type": "result", "task_id": task_id, "kind": "task", "times": times}
+        if self.shm_to_manager and len(data) >= payloads.threshold_bytes():
             try:
-                data = payloads.fetch(descriptor, consume=True)
-                descriptor = None
-            except payloads.PayloadError as exc:
-                self._send(
-                    {
-                        "type": "task_failed",
-                        "task_id": task_id,
-                        "error": f"result segment lost: {exc}",
-                    }
-                )
+                frame["payload_shm"] = payloads.publish_once(data)
+                self.payload_mapped += len(data)
+                self._send(frame)
                 return
-        if (
-            descriptor is None
-            and data
-            and self.shm_to_manager
-            and len(data) >= payloads.threshold_bytes()
-        ):
-            try:
-                descriptor = payloads.publish_once(bytes(data))
-                data = b""
             except payloads.PayloadError:
                 pass  # ship inline after all
-        if descriptor is not None:
-            frame["payload_shm"] = descriptor
-            self.payload_mapped += int(descriptor.get("size", 0))
-        else:
-            self.payload_copied += len(data)
+        self.payload_copied += len(data)
         self._send(frame, data)
-
-    def _finish_invocation(
-        self, handle: _LibraryHandle, message: dict, payload: bytes = b""
-    ) -> None:
-        task_id = int(message["task_id"])
-        if task_id not in handle.invocations:
-            return
-        sandbox = handle.invocations.pop(task_id)
-        # The context was already resident: no worker overhead.
-        times = dict(message.get("times", {}), worker_overhead=0.0)
-        times["staging"] = handle.staging.pop(task_id, 0.0)
-        timed_out = message.get("kind") == "timeout"  # a fork-mode child overran
-        if message["type"] == "result":  # direct mode: the outcome rode the frame (or shm)
-            self._relay_result(
-                task_id, "invocation", times, data=payload,
-                descriptor=message.get("payload_shm"),
-            )
-        elif message["type"] == "complete" and not timed_out and sandbox.exists(RESULT_FILE):
-            # Fork mode: the child wrote the classic result file.
-            self._relay_result(
-                task_id, "invocation", times, data=sandbox.read(RESULT_FILE)
-            )
-        else:
-            failure = {
-                "type": "task_failed",
-                "task_id": task_id,
-                "error": message.get("error", "invocation produced no result"),
-                "traceback": message.get("traceback"),
-            }
-            if timed_out:
-                failure["kind"] = "timeout"
-            self._send(failure)
-        sandbox.destroy()
 
     def _kill_timed_out(
         self, handle: _LibraryHandle, task_id: int, timeout: float
@@ -963,19 +831,10 @@ class Worker:
         stderr: Optional[str] = None,
     ) -> None:
         """A serving instance ended on its own (socket closed, or the
-        template reaped it): fail what it was running and the instance."""
+        template reaped it): report it failed.  The manager fails the
+        invocations bound to it."""
         if stderr is None:
             stderr = _stderr_tail(handle.sandbox_dir)
-        for task_id in list(handle.invocations):
-            self._send(
-                {
-                    "type": "task_failed",
-                    "task_id": task_id,
-                    "error": error,
-                    "traceback": stderr,
-                }
-            )
-            handle.invocations.pop(task_id).destroy()
         self._send(
             {
                 "type": "library_failed",
@@ -1007,8 +866,6 @@ class Worker:
         else:
             self.loop.remove(handle.listener)
             handle.listener.close()
-        for sandbox in handle.invocations.values():
-            sandbox.destroy()
         self._stop_instance(handle)
 
     def _stop_instance(self, handle: _LibraryHandle) -> None:
@@ -1057,9 +914,7 @@ class Worker:
                 "wall": time.monotonic() - running.started,
             }
             if code == 0 and running.sandbox.exists(RESULT_FILE):
-                self._relay_result(
-                    task_id, "task", times, data=running.sandbox.read(RESULT_FILE)
-                )
+                self._relay_result(task_id, times, running.sandbox.read(RESULT_FILE))
             else:
                 self._send(
                     {

@@ -51,6 +51,7 @@ SAMPLE_FIELDS = (
     "cache_pinned",        # aggregate pinned cache entries
     "rss_bytes",           # aggregate worker resident set size
     "busy_slots",          # in-flight invocations + running tasks, fleet-wide
+                           # (the manager's running set; the simulator's twin)
     "dispatch_rate",       # dispatches/second since the previous sample
     "queue_depths",        # {library: queued invocations}
     "contexts",            # {context: {instances, ready, slots, used_slots,

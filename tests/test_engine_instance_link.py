@@ -1,14 +1,17 @@
 """Each library instance's own link to the manager.
 
-Direct-mode invocations without input files travel on that link and
-their results come straight back; the worker keeps lifecycle, files and
-sandboxes.  Covered here through the public API plus raw sockets: the
+Every invocation travels on that link and its result comes straight
+back; the worker keeps lifecycle and files and relays no invocation.
+Covered here through the public API plus raw sockets and ``/proc``: the
 accept-side handshake blocks nobody, a link is attached only with the
 right token and only once, a stale result is never applied, a killed
 worker settles every call exactly once, tracing still yields one
-parented timeline, and fork-mode completions are noticed at once.
+parented timeline, fork-mode completions are noticed at once, calls
+with input files wait for them without re-sending, and the worker does
+no work per invocation.
 """
 
+import os
 import socket
 import statistics
 import time
@@ -42,6 +45,17 @@ def nap(seconds):
 
 def noop():
     return None
+
+
+def read_input(name):
+    with open(name, "rb") as fh:
+        return fh.read()
+
+
+def echo_input(name, size):
+    with open(name, "rb") as fh:
+        data = fh.read()
+    return (data * (size // len(data) + 1))[:size]
 
 
 def _drive_until(manager, predicate, seconds, what):
@@ -240,3 +254,109 @@ def test_pack_and_unpack_invocations_round_trip():
     assert list(unpack_invocations(single, b"".join(parts))) == [
         (dict(entries[2][0], type="invocation"), entries[2][1])
     ]
+
+
+# ---------------------------------------------------- the one path, inputs
+def test_calls_sharing_a_new_input_wait_for_one_copy():
+    """Fifty calls dispatched before their input reached the worker all
+    wait for the one ``put_file`` and then run; nothing is sent twice."""
+    with Manager() as manager:
+        manager.install_library(
+            manager.create_library_from_functions(
+                "shared-in", read_input, double, function_slots=2
+            )
+        )
+        with LocalWorkerFactory(manager, count=1, cores=1):
+            _wave(manager, 4, library="shared-in")  # deployed and warm
+            sends = manager.stats["manager_sends"]
+            data = os.urandom(1024)
+            shared = manager.declare_buffer(data, "shared.bin")
+            calls = [
+                FunctionCall("shared-in", "read_input", "shared.bin") for _ in range(50)
+            ]
+            for call in calls:
+                call.add_input(shared)
+                manager.submit(call)
+            manager.wait_all(calls, timeout=60.0)
+            assert all(call.result == data for call in calls)
+            assert manager.stats["manager_sends"] - sends == 1
+            assert manager.stats.get("requeued", 0) == 0
+
+
+def test_fork_call_with_input_and_large_result_returns_intact():
+    before = set(payloads.list_segments())
+    size = payloads.threshold_bytes() + 12_345
+    with Manager() as manager:
+        manager.install_library(
+            manager.create_library_from_functions(
+                "fork-echo", echo_input, exec_mode=ExecMode.FORK
+            )
+        )
+        with LocalWorkerFactory(manager, count=1, cores=1):
+            data = os.urandom(1000)
+            source = manager.declare_buffer(data, "echo.bin")
+            call = FunctionCall("fork-echo", "echo_input", "echo.bin", size)
+            call.add_input(source)
+            manager.submit(call)
+            manager.wait_all([call], timeout=60.0)
+            assert call.result == (data * (size // 1000 + 1))[:size]
+    assert set(payloads.list_segments()) - before == set()
+
+
+def _cpu_ticks(pid, children=False):
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    utime, stime, cutime, cstime = (int(v) for v in fields[11:15])
+    return utime + stime + (cutime + cstime if children else 0)
+
+
+def _child_pids(pid):
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    if int(fh.read().rsplit(")", 1)[1].split()[1]) == pid:
+                        found.append(int(entry))
+            except (OSError, ValueError):
+                pass  # exited meanwhile
+    return found
+
+
+def test_worker_does_no_work_per_invocation():
+    """A wave of fork-mode calls and calls with input files costs the
+    worker process (almost) nothing: its CPU time grows by under a tenth
+    of its instance's, reaped fork children included."""
+    with Manager() as manager:
+        manager.install_library(
+            manager.create_library_from_functions(
+                "quiet-worker", read_input, function_slots=2
+            )
+        )
+        with LocalWorkerFactory(manager, count=1, cores=1) as factory:
+            shared = manager.declare_buffer(b"q" * 1024, "quiet.bin")
+
+            def wave(n):
+                calls = [
+                    FunctionCall("quiet-worker", "read_input", "quiet.bin")
+                    for _ in range(n)
+                ]
+                for i, call in enumerate(calls):
+                    call.add_input(shared)
+                    if i % 2:
+                        call.exec_mode = ExecMode.FORK
+                    manager.submit(call)
+                manager.wait_all(calls, timeout=120.0)
+                assert all(call.result == b"q" * 1024 for call in calls)
+
+            wave(4)  # deployed, warm, input cached
+            worker = factory.procs[0].pid
+            (template,) = _child_pids(worker)
+            (instance,) = _child_pids(template)
+            worker_before = _cpu_ticks(worker)
+            instance_before = _cpu_ticks(instance, children=True)
+            wave(300)
+            worker_cost = _cpu_ticks(worker) - worker_before
+            instance_cost = _cpu_ticks(instance, children=True) - instance_before
+    assert instance_cost > 0
+    assert worker_cost < 0.1 * instance_cost, (worker_cost, instance_cost)

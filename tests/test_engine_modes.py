@@ -1,10 +1,13 @@
 """Engine behaviour under non-default configurations: manager-only
 transfers, bounded worker caches, multi-function libraries."""
 
+import time
+
 import pytest
 
 from repro.distribute.topology import TransferMode
-from repro.engine import FunctionCall, LocalWorkerFactory, Manager, PythonTask
+from repro.engine import FunctionCall, LocalWorkerFactory, Manager, PythonTask, TaskState
+from repro.errors import TaskFailure
 
 
 def fn_one(x):
@@ -86,6 +89,60 @@ def test_bounded_worker_cache_evicts():
             manager.submit(retry)
             manager.wait_all([retry], timeout=120)
             assert retry.result == 30_000
+
+
+def read_two(a, b):
+    return read_blob(a) + read_blob(b)
+
+
+def _failed_within(manager, task, seconds):
+    deadline = time.monotonic() + seconds
+    while task.state is not TaskState.FAILED and time.monotonic() < deadline:
+        manager.wait(timeout=0.1)
+    return task.state is TaskState.FAILED
+
+
+def test_invocation_inputs_larger_than_the_cache_fail_cleanly():
+    """Regression: two 60 kB inputs can never sit in a 100 kB cache
+    together.  The worker that relayed such a call raised the cache miss
+    inside its loop and died: the call stayed submitted forever and the
+    worker was lost.  Now the call fails and the worker serves on."""
+    with Manager() as manager:
+        manager.install_library(
+            manager.create_library_from_functions("tight", read_two, fn_one)
+        )
+        with LocalWorkerFactory(manager, count=1, cores=1, cache_capacity=100_000):
+            call = FunctionCall("tight", "read_two", "a.bin", "b.bin")
+            call.add_input(manager.declare_buffer(b"a" * 60_000, "a.bin"))
+            call.add_input(manager.declare_buffer(b"b" * 60_000, "b.bin"))
+            manager.submit(call)
+            assert _failed_within(manager, call, 15.0)
+            with pytest.raises(TaskFailure):
+                _ = call.result
+            assert manager.stats.get("workers_lost", 0) == 0
+            after = FunctionCall("tight", "fn_one", 1)
+            manager.submit(after)
+            manager.wait_all([after], timeout=60)
+            assert after.result == 2
+
+
+def test_task_input_larger_than_the_cache_fails_cleanly():
+    """Regression: a ``put_file`` bigger than the whole worker cache
+    raised inside the worker's loop and killed it.  Now the worker
+    reports the file absent and the task behind it fails on the miss."""
+    with Manager() as manager:
+        with LocalWorkerFactory(manager, count=1, cores=1, cache_capacity=100_000):
+            task = PythonTask(read_blob, "huge.bin")
+            task.add_input(manager.declare_buffer(b"h" * 150_000, "huge.bin"))
+            manager.submit(task)
+            assert _failed_within(manager, task, 15.0)
+            with pytest.raises(TaskFailure, match="CacheError"):
+                _ = task.result
+            assert manager.stats.get("workers_lost", 0) == 0
+            after = PythonTask(fn_one, 1)
+            manager.submit(after)
+            manager.wait_all([after], timeout=60)
+            assert after.result == 2
 
 
 def test_fresh_manager_stats_empty():

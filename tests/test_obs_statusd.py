@@ -248,3 +248,27 @@ def test_manager_metrics_and_status_round_trip(tmp_path):
     # The transaction log recorded the full task lifecycle.
     events = {t["event"] for t in read_perflog(txnlog_path)}
     assert {"task_submit", "task_dispatch", "task_done", "worker_join"} <= events
+
+
+def _nap(seconds):
+    import time
+
+    time.sleep(seconds)
+    return seconds
+
+
+def test_perflog_busy_slots_counts_direct_invocations(tmp_path):
+    """Regression: ``busy_slots`` summed the workers' heartbeats, which
+    count only what a worker runs itself, so a wave of invocations on
+    their instances' own links read 0 throughout."""
+    with Manager(perflog_dir=str(tmp_path), perflog_interval=0.05) as manager:
+        manager.install_library(
+            manager.create_library_from_functions("busy", _nap, function_slots=2)
+        )
+        with LocalWorkerFactory(manager, count=1, cores=1):
+            calls = [FunctionCall("busy", "_nap", 0.2) for _ in range(8)]
+            for call in calls:
+                manager.submit(call)
+            manager.wait_all(calls, timeout=60.0)
+        path = manager.perflog.perflog_path
+    assert max(sample["busy_slots"] for sample in read_perflog(path)) >= 1
