@@ -7,7 +7,8 @@
 #   4. paper-experiment smoke (every benchmarks/bench_*.py at <=200
 #      invocations)
 #   5. benchmark-ladder tests
-#   6. one short ladder run — a crash check, compared against nothing
+#   6. two short ladder runs (warm_bulk, payload_rw) — crash checks,
+#      compared against nothing
 #   7. leaked-shm check
 #   8. source tree untouched
 #
@@ -53,11 +54,12 @@ if grep -nE 'create_connection|messages\.connect|getaddrinfo|gethostbyname' src/
     echo "FAIL: library_main.py resolves a name; instances connect to a numeric (ip, port)"; exit 1
 fi
 # One way to start a library: forked from the worker's template.  No
-# per-instance command line, no child stderr on a pipe nobody drains,
+# per-instance command line, no child stderr (library, task, worker or
+# shard) on a pipe nobody drains,
 # and the package __init__ files import nothing eagerly (a child entry
 # point must not pay for the manager, the router or numpy).
 if grep -nF -e '"--spec"' src/repro/engine/{worker,library_main}.py \
-    || grep -nF 'subprocess.PIPE' src/repro/engine/worker.py \
+    || grep -nF 'subprocess.PIPE' src/repro/engine/{worker,factory,router}.py \
     || grep -nE '^(from|import) repro\.' src/repro/{engine,util,obs,discover,serialize}/__init__.py | grep -vE ':(from|import) repro\.errors\b'; then
     echo "FAIL: a per-instance library start, a piped child stderr or an eager package import is back"; exit 1
 fi
@@ -99,18 +101,23 @@ echo "== benchmark-ladder tests (cap ${SMOKE_CAP}s) =="
 timeout --signal=TERM --kill-after=30 "$SMOKE_CAP" \
     python -m pytest -q benchmarks/ladder/test_ladder.py
 
-# One fixed ladder run in the form the benchmark driver uses.  Passes
+# Fixed ladder runs in the one-run form BENCHMARK.json declares.  Each passes
 # when it exits 0 and its last line is a JSON result with failed == 0.
 # A 3 s window on a shared host is a crash check, not a measurement:
-# the numbers it prints are compared against nothing.
-echo "== benchmark-ladder smoke (cap ${BENCH_CAP}s) =="
-ladder_out="$(timeout --signal=TERM --kill-after=30 "$BENCH_CAP" \
-    python3 benchmarks/ladder/run.py --workload warm_bulk --seed 0 --seconds 3 --trace 0)"
-printf '%s\n' "$ladder_out" | tail -n 1 | python3 -c '
-import json, sys
+# the numbers it prints are compared against nothing.  payload_rw runs
+# the shared-memory argument and result lifecycle end to end, ahead of
+# the leaked-shm check below.
+echo "== benchmark-ladder smoke (cap ${BENCH_CAP}s per run) =="
+for workload in warm_bulk payload_rw; do
+    ladder_out="$(timeout --signal=TERM --kill-after=30 "$BENCH_CAP" \
+        python3 benchmarks/ladder/run.py --workload "$workload" --seed 0 --seconds 3 --trace 0)"
+    printf '%s\n' "$ladder_out" | tail -n 1 | WORKLOAD="$workload" python3 -c '
+import json, os, sys
 result = json.loads(sys.stdin.read())
-print("ladder smoke: attempted %(attempted)s, failed %(failed)s" % result)
+print("ladder smoke %s: attempted %s, failed %s"
+      % (os.environ["WORKLOAD"], result["attempted"], result["failed"]))
 sys.exit(1 if result["failed"] else 0)'
+done
 
 # Shared-memory hygiene: after every test, fault, chaos, and router
 # stage above no repro-pl-* segment may survive.  Segments are named

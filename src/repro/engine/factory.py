@@ -16,7 +16,12 @@ import tempfile
 from typing import List, Optional
 
 from repro.engine.manager import Manager
+from repro.engine.sandbox import stderr_tail
 from repro.errors import WorkerError
+
+# Each worker's stderr, in its own workdir: a file never fills, so a
+# chatty worker cannot block on a pipe nobody reads.
+_WORKER_STDERR = "worker.stderr"
 
 
 class LocalWorkerFactory:
@@ -56,6 +61,7 @@ class LocalWorkerFactory:
         self._owns_workdir = workdir is None
         self.workdir = workdir or tempfile.mkdtemp(prefix="repro-workers-")
         self.procs: List[subprocess.Popen] = []
+        self._workdirs: List[str] = []  # one per proc, holding its stderr
 
     def start(self) -> None:
         preexisting = len(self.manager.connected_workers())
@@ -83,9 +89,12 @@ class LocalWorkerFactory:
                 cmd.extend(["--cache-capacity", str(self.cache_capacity)])
             if self.status_interval != 2.0:
                 cmd.extend(["--status-interval", str(self.status_interval)])
-            self.procs.append(
-                subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-            )
+            os.makedirs(wdir, exist_ok=True)
+            with open(os.path.join(wdir, _WORKER_STDERR), "wb") as stderr:
+                self.procs.append(
+                    subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=stderr)
+                )
+            self._workdirs.append(wdir)
         try:
             self.manager.wait_for_workers(
                 preexisting + self.count, timeout=self.connect_timeout
@@ -96,13 +105,8 @@ class LocalWorkerFactory:
             raise WorkerError(f"workers failed to connect:\n{details}") from None
 
     def _collect_stderr(self) -> str:
-        chunks = []
-        for proc in self.procs:
-            if proc.poll() is not None and proc.stderr is not None:
-                text = proc.stderr.read().decode("utf-8", "replace")
-                if text:
-                    chunks.append(text[-2000:])
-        return "\n---\n".join(chunks) or "(no worker stderr)"
+        chunks = [stderr_tail(wdir, _WORKER_STDERR) for wdir in self._workdirs]
+        return "\n---\n".join(filter(None, chunks)) or "(no worker stderr)"
 
     def stop(self) -> None:
         for proc in self.procs:
@@ -115,6 +119,7 @@ class LocalWorkerFactory:
                 proc.kill()
                 proc.wait(timeout=5.0)
         self.procs.clear()
+        self._workdirs.clear()
         if self._owns_workdir:
             shutil.rmtree(self.workdir, ignore_errors=True)
 

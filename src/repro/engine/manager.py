@@ -98,7 +98,7 @@ from repro.obs.perflog import get_perflog, make_sample
 from repro.obs.statusd import StatusServer
 from repro.obs.statusd import status_port as _env_status_port
 from repro.obs.trace import get_tracer, merge_task_timeline
-from repro.serialize.core import deserialize, serialize
+from repro.serialize.core import deserialize, frame_digest, serialize
 from repro.util.logging import get_logger
 
 
@@ -125,6 +125,7 @@ class _WorkerLink:
     status: Dict[str, Any] = field(default_factory=dict)  # last status report
     last_seen: float = 0.0  # monotonic stamp of the last received frame
     shm: bool = False  # worker shares the manager's shared-memory domain
+    cache_capacity: Optional[int] = None  # bytes; None = unbounded
     # Invocations bound to an instance here, waiting for their inputs to
     # be confirmed: (task id, instance id, input hashes, (header, blob)).
     held: List[tuple] = field(default_factory=list)
@@ -370,20 +371,17 @@ class Manager:
         dispatch, trading the zero-copy win for portability.
         """
         blob = serialize(value)
+        digest = frame_digest(blob)
         if self.payloads is not None and len(blob) >= payloads.threshold_bytes():
-            descriptor = self.payloads.put(blob)
-            self.payloads.pin(descriptor["hash"])
-            arg = payloads.PayloadArg(
-                descriptor["hash"], descriptor["size"], descriptor["shm"]
-            )
+            descriptor = self.payloads.put(blob, digest)
+            self.payloads.pin(digest)
+            arg = payloads.PayloadArg(digest, descriptor["size"], descriptor["shm"])
         else:
             # Below the shm threshold (or no store at all) the handle is
             # unbacked: no segment, no pin — the value substitutes inline
             # at dispatch.  Pinning tiny blobs would make them permanent
             # LRU squatters for no copy savings.
-            from repro.util.hashing import hash_bytes
-
-            arg = payloads.PayloadArg(hash_bytes(blob), len(blob), None)
+            arg = payloads.PayloadArg(digest, len(blob), None)
         self._declared_args[arg.digest] = value
         return arg
 
@@ -870,6 +868,8 @@ class Manager:
                 transfer_port=int(hello.get("transfer_port", 0)),
                 last_seen=time.monotonic(),
             )
+            if hello.get("cache_capacity") is not None:
+                link.cache_capacity = int(hello["cache_capacity"])
             conn.name = name
             link.shm = bool(
                 self.payloads is not None
@@ -1170,8 +1170,10 @@ class Manager:
         """Put a large argument blob in the store; returns its descriptor.
 
         Returns ``None`` (ship inline) for small blobs or non-shm links.
-        The blob is pinned against eviction until the task completes,
-        fails, or is requeued (:meth:`_unpin_task_payload`).
+        The segment is transient and keyed by the digest ``serialize()``
+        already embedded: it lives while a call in flight pins it and is
+        unlinked when the last one completes, fails, or is requeued
+        (:meth:`_unpin_task_payload`).
         """
         if (
             not link.shm
@@ -1180,9 +1182,10 @@ class Manager:
         ):
             self._count_payload(task, len(blob), copied=True)
             return None
-        descriptor = self.payloads.put(blob)
-        self.payloads.pin(descriptor["hash"])
-        task._payload_digest = descriptor["hash"]
+        digest = frame_digest(blob)
+        descriptor = self.payloads.put(blob, digest, transient=True)
+        self.payloads.pin(digest)
+        task._payload_digest = digest
         self._count_payload(task, len(blob), copied=False)
         return descriptor
 
@@ -1196,7 +1199,8 @@ class Manager:
             task.payload_bytes["mapped"] += n
 
     def _unpin_task_payload(self, task: Task) -> None:
-        """Release the dispatch-time pin on a task's argument blob."""
+        """Release the dispatch-time pin on a task's argument blob; the
+        last release unlinks its segment."""
         digest = task._payload_digest
         if digest is None:
             return
@@ -1204,7 +1208,31 @@ class Manager:
         if self.payloads is not None:
             self.payloads.unpin(digest)
 
+    def _fail_if_inputs_fit_nowhere(self, task: Task) -> bool:
+        """Fail ``task`` at dispatch when its input files together exceed
+        every connected worker's cache: no worker could stage them, and
+        sending them would only spend the retry budget on cache misses."""
+        need = sum(f.size for f in task.inputs)
+        capacities = [link.cache_capacity for link in self._workers.values()]
+        if any(c is None or need <= c for c in capacities):
+            return False
+        sizes = ", ".join(f"{f.remote_name} {f.size} B" for f in task.inputs)
+        # Worded as the worker words the same miss ("CacheError: ...").
+        task.set_exception(
+            TaskFailure(
+                f"CacheError: the inputs of task {task.id} ({sizes}) total {need} B, "
+                f"more than any connected worker's cache holds "
+                f"(largest {max(capacities)} B)"
+            )
+        )
+        task.mark("completed", time.monotonic())
+        self._completed.append(task)
+        self.stats["failed"] += 1
+        return True
+
     def _dispatch_python_task(self, task: PythonTask) -> bool:
+        if task.inputs and self._fail_if_inputs_fit_nowhere(task):
+            return True
         worker = self.placement.place_task(
             str(task.id), task.resources, exclude=task.workers_lost_on or None
         )
@@ -1279,6 +1307,8 @@ class Manager:
         link = self._link_for(inst.worker)
         header: Dict[str, Any] = {"task_id": task.id, "function": task.function_name}
         if task.inputs:  # per-invocation input files
+            if self._fail_if_inputs_fit_nowhere(task):
+                return
             transfer_started = time.monotonic()
             for f in task.inputs:
                 self._ensure_file(link, f)
@@ -1647,7 +1677,9 @@ class Manager:
             self.state.invocation_instance.pop(task_id, None)
             if task is not None:
                 if timeout_kill:
-                    self._requeue_task(task, blame=None)
+                    self._requeue_task(
+                        task, reason="its instance was killed when a sibling call timed out"
+                    )
                 else:
                     self._unpin_task_payload(task)
                     task.set_exception(failure_from_message(message))
@@ -1700,7 +1732,9 @@ class Manager:
             task = self.state.running.pop(task_id, None)
             self.state.invocation_instance.pop(task_id, None)
             if task is not None:
-                self._requeue_task(task, blame=None)
+                self._requeue_task(
+                    task, reason="its instance was removed before the call ran"
+                )
             record.instance.used_slots = max(0, record.instance.used_slots - 1)
         try:
             self.placement.remove_library(record.instance.worker, instance_id)
@@ -1875,7 +1909,7 @@ class Manager:
             # killed because a *sibling* invocation timed out, or an input
             # went missing before it ran).  No blame — the worker is
             # healthy — but the attempt still counts against the budget.
-            self._requeue_task(task, blame=None)
+            self._requeue_task(task, reason=message.get("error") or "requeued")
             return
         if kind == "timeout":
             self.stats["timeouts"] += 1
@@ -1938,14 +1972,17 @@ class Manager:
             return
         self._requeue_task(task, blame=blame)
 
-    def _requeue_task(self, task: Task, blame: Optional[str]) -> None:
+    def _requeue_task(
+        self, task: Task, *, blame: Optional[str] = None, reason: str = ""
+    ) -> None:
         """Give a task (already removed from ``state.running``) another try.
 
         Each requeue spends one unit of the task's retry budget, records
         ``blame`` (the worker it was lost on — never redispatched there),
-        and arms an exponential backoff gate.  Past ``max_retries`` the
-        task fails with :class:`~repro.errors.TaskRetryExhausted`
-        carrying the full loss history.
+        and arms an exponential backoff gate.  A blameless requeue says
+        why in ``reason``.  Past ``max_retries`` the task fails with
+        :class:`~repro.errors.TaskRetryExhausted` carrying the full loss
+        history and naming what ended it: a worker loss or that reason.
         """
         self._unpin_task_payload(task)
         self._cold_instance.pop(task.id, None)
@@ -1954,11 +1991,14 @@ class Manager:
         if blame is not None:
             task.workers_lost_on.append(blame)
         if task.retries > self.max_retries:
+            budget = f"{task.retries} times (retry budget {self.max_retries})"
+            if blame is not None:
+                why = f"lost its worker {budget}; lost on: {task.workers_lost_on}"
+            else:
+                why = f"was requeued {budget}; last reason: {reason}"
             task.set_exception(
                 TaskRetryExhausted(
-                    f"task {task.id} lost its worker {task.retries} times "
-                    f"(retry budget {self.max_retries}); "
-                    f"lost on: {task.workers_lost_on or ['<unknown>']}",
+                    f"task {task.id} {why}",
                     losses=task.workers_lost_on,
                     retries=task.retries,
                 )

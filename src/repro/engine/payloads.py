@@ -6,24 +6,32 @@ socket bytes, copied at every hop (manager → worker → library).  This
 module moves large payloads out of the socket path entirely: a payload
 above :func:`threshold_bytes` is written once into a
 ``multiprocessing.shared_memory`` segment and travels as a *descriptor*
-``{"shm": name, "hash": sha256, "size": n}``.  The receiver attaches the
+``{"shm": name, "hash": digest, "size": n}``.  The receiver attaches the
 segment lazily and deserializes straight out of the mapping — bytes
 copied per hop is then flat in payload size.
 
 Two ownership protocols cover every flow in the engine:
 
 * **Store-owned segments** (:class:`PayloadStore`) — created by
-  ``put``, content-addressed with the same SHA-256 hex scheme as
-  :class:`~repro.engine.cache.WorkerCache`, refcount-pinnable, and
-  evicted LRU within a byte budget.  The owner (the manager) unlinks on
-  eviction or ``close``; consumers only ever attach and close.  A
-  repeated argument blob hashes to the same digest, so re-shipping it
-  costs one descriptor, not one copy.
+  ``put``, content-addressed, refcount-pinnable; consumers only ever
+  attach and close, the owner (the manager) unlinks.  An entry is one
+  of two kinds.  A *transient* entry holds one call's arguments: it is
+  unlinked the moment its last pin is released, when the last call in
+  flight with those bytes settles (identical calls in flight together
+  share it).  A *retained* entry — a declared argument — stays after
+  its pins are gone and is evicted LRU within a byte budget; declared
+  arguments are how bytes are reused across calls.
 * **One-shot segments** (:func:`publish_once`) — created for a single
   result in flight; the *consumer* unlinks after reading
   (``fetch(..., consume=True)``).  No release round-trip is needed.
 
-Segment names embed the creating pid (``repro-pl-<pid>-<hash24>``), so
+Hashing: a blob from ``serialize()`` already carries the SHA-256 of its
+pickle, and the frame is a function of that digest, so the store keys
+such a blob by it (``put(blob, frame_digest(blob))``) instead of
+hashing the bytes again, and one-shot segments are named without any
+hash.  Receivers still verify every payload when they deserialize it.
+
+Segment names embed the creating pid (``repro-pl-<pid>-…``), so
 :func:`reap_orphans` can reclaim segments whose owner died without
 cleanup (a SIGKILLed worker or library) by scanning ``/dev/shm``.
 
@@ -38,7 +46,7 @@ Environment knobs:
 * ``REPRO_SHM_THRESHOLD`` — minimum payload size in bytes that rides in
   shared memory (default 32 KiB).
 * ``REPRO_SHM_BUDGET`` — byte budget of a :class:`PayloadStore`'s LRU
-  (default 256 MiB).
+  of unpinned retained entries (default 256 MiB).
 """
 
 from __future__ import annotations
@@ -158,6 +166,30 @@ def _attach_segment(name: str):
     return shm
 
 
+def _write_segment(name: str, data: bytes):
+    """A new segment ``name`` holding ``data``; the caller owns it.
+
+    Names embed this process's pid, so a segment already under ``name``
+    is stale, left by an earlier process with the same pid: replace it.
+    """
+    size = max(1, len(data))
+    try:
+        try:
+            shm = _create_segment(name, size)
+        except FileExistsError:
+            try:
+                stale = _attach_segment(name)
+                _unlink_segment(stale)
+                stale.close()
+            except (OSError, ValueError):
+                pass
+            shm = _create_segment(name, size)
+    except (OSError, ValueError) as exc:
+        raise PayloadError(f"cannot create payload segment: {exc}") from exc
+    shm.buf[: len(data)] = data
+    return shm
+
+
 def segment_name(digest: str, pid: Optional[int] = None) -> str:
     """Shared-memory name for ``digest`` owned by ``pid``.
 
@@ -252,23 +284,17 @@ def publish_once(data: bytes) -> Dict[str, Any]:
     The creating process keeps no handle: the consumer unlinks via
     ``fetch(descriptor, consume=True)``.  If the consumer never reads it
     (a lost connection), :func:`reap_orphans` reclaims the segment once
-    this process exits.
+    this process exits.  The name is unique per call (pid + sequence),
+    not content-addressed: two identical results in flight must not
+    share a segment, because the first consumer unlinks it out from
+    under the second descriptor.  So nothing here hashes ``data``; the
+    consumer's ``deserialize`` verifies it.
     """
     if _shared_memory is None or not enabled():
         raise PayloadError("payload plane is disabled")
-    digest = hash_bytes(data)
-    # One-shot names are unique per call (not content-addressed): two
-    # identical results in flight must not share a segment, because the
-    # first consumer unlinks it out from under the second descriptor.
-    name = f"{SHM_PREFIX}{os.getpid()}-{digest[:16]}.{next(_publish_seq)}"
-    size = max(1, len(data))
-    try:
-        shm = _create_segment(name, size)
-    except (OSError, ValueError) as exc:
-        raise PayloadError(f"cannot create payload segment: {exc}") from exc
-    shm.buf[: len(data)] = data
-    shm.close()
-    return make_descriptor(name, digest, len(data))
+    name = f"{SHM_PREFIX}{os.getpid()}-once.{next(_publish_seq)}"
+    _write_segment(name, data).close()
+    return {"shm": name, "size": len(data)}
 
 
 @dataclass
@@ -277,14 +303,17 @@ class _StoreEntry:
     size: int
     shm: Any
     pins: int = 0
+    transient: bool = False  # unlinked at its last unpin, never LRU-retained
 
 
 class PayloadStore:
-    """Content-addressed, refcount-pinned, LRU-budgeted segment store.
+    """Content-addressed, refcount-pinned segment store.
 
     The single long-lived owner of argument payloads (the manager).
-    ``put`` deduplicates by content hash; ``pin``/``unpin`` protect
-    in-flight payloads from eviction; unpinned entries are evicted
+    ``put`` deduplicates by content digest; ``pin``/``unpin`` protect
+    in-flight payloads.  A transient entry (``put(..., transient=True)``,
+    one call's arguments) is unlinked when its last pin is released.
+    Unpinned retained entries (declared arguments) are evicted
     least-recently-used when an insert would exceed the byte budget.
     ``close`` unlinks everything this store created.
     """
@@ -332,9 +361,13 @@ class PayloadStore:
         return bytes(memoryview(entry.shm.buf)[: entry.size])
 
     # -- mutation --------------------------------------------------------
-    def _unlink_entry(self, entry: _StoreEntry) -> None:
+    def _drop(self, digest: str) -> None:
+        entry = self._entries.pop(digest)
+        self._used -= entry.size
         _unlink_segment(entry.shm)
         entry.shm.close()
+        if self._stored_gauge is not None:
+            self._stored_gauge.set(self._used)
 
     def _evict_for(self, incoming: int) -> None:
         while (
@@ -346,44 +379,35 @@ class PayloadStore:
             )
             if victim is None:
                 break
-            entry = self._entries.pop(victim)
-            self._used -= entry.size
-            self._unlink_entry(entry)
+            self._drop(victim)
             if self._evictions is not None:
                 self._evictions.inc()
         # When everything left is pinned the store runs over budget
         # rather than failing a dispatch: pins are short-lived.
 
-    def put(self, data: bytes) -> Dict[str, Any]:
+    def put(
+        self, data: bytes, digest: Optional[str] = None, *, transient: bool = False
+    ) -> Dict[str, Any]:
         """Store ``data`` (content-addressed); returns its descriptor.
 
-        Storing bytes already present is free and returns the existing
-        descriptor — this is the reuse the whole plane exists for.
+        ``digest`` is the content key when the caller already holds one
+        (a ``serialize()`` frame's :func:`frame_digest`); without it the
+        bytes are hashed here.  Storing bytes already present is free and
+        returns the existing descriptor.  A ``transient`` entry is
+        unlinked at its last :meth:`unpin`; putting the same bytes once
+        without ``transient`` makes the entry retained for good.
         """
-        digest = hash_bytes(data)
+        if digest is None:
+            digest = hash_bytes(data)
         entry = self._entries.get(digest)
         if entry is not None:
+            entry.transient = entry.transient and transient
             self._entries.move_to_end(digest)
             return make_descriptor(entry.shm.name, digest, entry.size)
         self._evict_for(len(data))
         name = segment_name(digest)
-        size = max(1, len(data))
-        try:
-            shm = _create_segment(name, size)
-        except FileExistsError:
-            # Stale segment from a previous same-pid incarnation (pid
-            # reuse): replace it.
-            try:
-                stale = _attach_segment(name)
-                _unlink_segment(stale)
-                stale.close()
-            except (OSError, ValueError):
-                pass
-            shm = _create_segment(name, size)
-        except OSError as exc:
-            raise PayloadError(f"cannot create payload segment: {exc}") from exc
-        shm.buf[: len(data)] = data
-        self._entries[digest] = _StoreEntry(digest, len(data), shm)
+        shm = _write_segment(name, data)
+        self._entries[digest] = _StoreEntry(digest, len(data), shm, transient=transient)
         self._used += len(data)
         if self._stored_gauge is not None:
             self._stored_gauge.set(self._used)
@@ -406,6 +430,8 @@ class PayloadStore:
         entry.pins -= 1
         if entry.pins == 0:
             self._pinned -= 1
+            if entry.transient:
+                self._drop(digest)
 
     def remove(self, digest: str) -> None:
         entry = self._entries.get(digest)
@@ -413,15 +439,12 @@ class PayloadStore:
             return
         if entry.pins > 0:
             raise PayloadError(f"payload {digest[:12]} is pinned; cannot remove")
-        del self._entries[digest]
-        self._used -= entry.size
-        self._unlink_entry(entry)
-        if self._stored_gauge is not None:
-            self._stored_gauge.set(self._used)
+        self._drop(digest)
 
     def close(self) -> None:
         for entry in self._entries.values():
-            self._unlink_entry(entry)
+            _unlink_segment(entry.shm)
+            entry.shm.close()
         self._entries.clear()
         self._used = 0
         self._pinned = 0

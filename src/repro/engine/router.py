@@ -59,6 +59,7 @@ from repro.engine import messages, payloads
 from repro.engine.loop import EventLoop
 from repro.engine.policies import SchedulingPolicy, resolve_policy
 from repro.engine.resources import Resources
+from repro.engine.sandbox import stderr_tail
 from repro.engine.scheduling import HashRing
 from repro.engine.task import (
     ExecMode,
@@ -87,6 +88,8 @@ from repro.util.logging import get_logger
 from repro.serialize.core import serialize
 from repro.serialize.source import capture_function
 from repro.util.hashing import hash_bytes
+
+_SHARD_STDERR = "shard.stderr"  # each shard's stderr, in its own directory
 
 
 class _ShardLink:
@@ -304,14 +307,17 @@ class Router:
                 str(i),
             ]
             cmd.extend(["--policy", self.policy.name])
-            procs.append(
-                (name, subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
-            )
+            # A file never fills, so a chatty shard cannot block on it.
+            os.makedirs(wdir, exist_ok=True)
+            with open(os.path.join(wdir, _SHARD_STDERR), "wb") as stderr:
+                procs.append(
+                    (name, subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=stderr))
+                )
         pending = {name: proc for name, proc in procs}
         deadline = time.monotonic() + connect_timeout
         while pending:
             if time.monotonic() > deadline:
-                details = self._collect_stderr(pending.values())
+                details = self._collect_stderr(pending)
                 for proc in pending.values():
                     proc.terminate()
                 raise EngineError(
@@ -322,18 +328,15 @@ class Router:
                 if name in self._shards:
                     self._shards[name].proc = pending.pop(name)
                 elif pending[name].poll() is not None:
-                    details = self._collect_stderr([pending[name]])
+                    details = self._collect_stderr([name])
                     raise EngineError(f"shard {name} exited at startup:\n{details}")
 
-    @staticmethod
-    def _collect_stderr(procs) -> str:
-        chunks = []
-        for proc in procs:
-            if proc.poll() is not None and proc.stderr is not None:
-                text = proc.stderr.read().decode("utf-8", "replace")
-                if text:
-                    chunks.append(text[-2000:])
-        return "\n---\n".join(chunks) or "(no shard stderr)"
+    def _collect_stderr(self, names: Iterable[str]) -> str:
+        chunks = [
+            stderr_tail(os.path.join(self.workdir, name), _SHARD_STDERR)
+            for name in names
+        ]
+        return "\n---\n".join(filter(None, chunks)) or "(no shard stderr)"
 
     # ------------------------------------------------------------- libraries
     def create_library_from_functions(

@@ -25,6 +25,16 @@ SPEC_FILE = "invocation.json"
 STDERR_FILE = "invocation.stderr"
 
 
+def stderr_tail(directory: str, name: str = STDERR_FILE) -> str:
+    """The last 4000 bytes of the stderr file a child kept in ``directory``."""
+    try:
+        with open(os.path.join(directory, name), "rb") as fh:
+            fh.seek(max(0, fh.seek(0, os.SEEK_END) - 4000))
+            return fh.read().decode("utf-8", "replace")
+    except OSError:
+        return ""
+
+
 class Sandbox:
     """A working directory with link-in staging and recursive cleanup."""
 

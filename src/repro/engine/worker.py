@@ -53,6 +53,7 @@ from repro.engine.sandbox import (
     RESULT_FILE,
     STDERR_FILE,
     Sandbox,
+    stderr_tail,
 )
 from repro.errors import CacheError, EngineError, ProtocolError
 from repro.obs.perflog import rss_bytes
@@ -76,16 +77,6 @@ def _child_env() -> Dict[str, str]:
     ]
     env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
     return env
-
-
-def _stderr_tail(directory: str) -> str:
-    """The last 4000 bytes of the stderr file a child kept in ``directory``."""
-    try:
-        with open(os.path.join(directory, STDERR_FILE), "rb") as fh:
-            fh.seek(max(0, fh.seek(0, os.SEEK_END) - 4000))
-            return fh.read().decode("utf-8", "replace")
-    except OSError:
-        return ""
 
 
 @dataclass
@@ -274,6 +265,7 @@ class Worker:
                 "resources": self.resources.to_dict(),
                 "transfer_host": "127.0.0.1",
                 "transfer_port": self.transfer_server.port,
+                "cache_capacity": self.cache.capacity,
                 # shm negotiation: descriptors only flow between peers in
                 # the same shared-memory domain (same machine, same boot).
                 "shm_host": payloads.host_token() if payloads.enabled() else "",
@@ -426,13 +418,6 @@ class Worker:
                     "error": f"{type(exc).__name__}: {exc}",
                 }
             )
-
-    def _on_unlink(self, message: dict, payload: bytes) -> None:
-        try:
-            self.cache.remove(message["hash"])
-        except CacheError:
-            pass
-        self._send({"type": "cache_update", "hash": message["hash"], "present": False})
 
     def _ensure_environment(self, env_hash: Optional[str]) -> tuple[Optional[str], float]:
         """Unpack a cached environment package once; return (dir, seconds_spent)."""
@@ -664,7 +649,7 @@ class Worker:
                 self._stop_instance(handle)
             elif handle.pid is None:  # asked for, never forked
                 self._library_died(
-                    handle, "library template died", _stderr_tail(self.workdir)
+                    handle, "library template died", stderr_tail(self.workdir)
                 )
 
     def _library_socket_path(self, instance_id: int) -> str:
@@ -834,7 +819,7 @@ class Worker:
         template reaped it): report it failed.  The manager fails the
         invocations bound to it."""
         if stderr is None:
-            stderr = _stderr_tail(handle.sandbox_dir)
+            stderr = stderr_tail(handle.sandbox_dir)
         self._send(
             {
                 "type": "library_failed",
@@ -921,7 +906,7 @@ class Worker:
                         "type": "task_failed",
                         "task_id": task_id,
                         "error": f"task runner exited with code {code}",
-                        "traceback": _stderr_tail(running.sandbox.path),
+                        "traceback": stderr_tail(running.sandbox.path),
                     }
                 )
             running.sandbox.destroy()

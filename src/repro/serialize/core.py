@@ -40,6 +40,17 @@ def serialize(obj: Any) -> bytes:
     return header + digest + payload
 
 
+def frame_digest(data: "bytes | bytearray | memoryview") -> str:
+    """The SHA-256 hex digest a :func:`serialize` frame carries.
+
+    It hashes the frame's pickle, and the whole frame is a function of
+    the pickle, so it names the frame's content without hashing it
+    again.  Nothing is verified here: :func:`deserialize` does that.
+    """
+    header_len = len(_MAGIC) + 1 + 8
+    return bytes(data[header_len : header_len + _DIGEST_LEN]).decode("ascii")
+
+
 def deserialize(data: "bytes | bytearray | memoryview") -> Any:
     """Inverse of :func:`serialize`, validating framing and digest.
 
@@ -85,8 +96,7 @@ def serialize_to_file(obj: Any, path: str | os.PathLike[str]) -> str:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    header_len = len(_MAGIC) + 1 + 8
-    return data[header_len : header_len + _DIGEST_LEN].decode("ascii")
+    return frame_digest(data)
 
 
 def deserialize_from_file(path: str | os.PathLike[str]) -> Any:

@@ -503,6 +503,31 @@ def test_timeout_kill_requeues_innocent_sibling():
             assert 1 <= manager.stats["requeued"] <= 2
 
 
+def test_blameless_requeues_exhausted_name_their_reason():
+    """A call requeued without blame until its budget is spent says why;
+    it used to read as a worker lost on '<unknown>'."""
+    with Manager(max_retries=0, retry_backoff=0.05) as manager:
+        library = manager.create_library_from_functions(
+            "blameless", sleepy_fn, function_slots=2
+        )
+        manager.install_library(library)
+        with LocalWorkerFactory(manager, count=1, cores=1):
+            hung = FunctionCall("blameless", "sleepy_fn", 30)
+            hung.set_timeout(0.6)
+            sibling = FunctionCall("blameless", "sleepy_fn", 0.05)
+            manager.submit(hung)
+            manager.submit(sibling)
+            manager.wait_all([hung, sibling], timeout=60)
+            with pytest.raises(TaskRetryExhausted) as excinfo:
+                _ = sibling.result
+            message = str(excinfo.value)
+            assert "requeued 1 times" in message
+            assert "sibling call timed out" in message
+            assert "lost its worker" not in message
+            assert excinfo.value.losses == []
+            assert manager.stats["workers_lost"] == 0
+
+
 def test_fork_invocation_timeout_spares_the_library():
     """Fork-mode overruns are killed library-side: only the child dies,
     the retained context survives and keeps serving."""

@@ -126,6 +126,36 @@ def test_invocation_inputs_larger_than_the_cache_fail_cleanly():
             assert after.result == 2
 
 
+def test_inputs_no_cache_can_hold_fail_at_dispatch():
+    """Regression: a call whose inputs fit in no connected worker's cache
+    re-sent them on every retry and failed after ~2 s as if it had lost
+    its worker four times.  Now it fails at dispatch, names the sizes,
+    and sends nothing."""
+    with Manager() as manager:
+        manager.install_library(manager.create_library_from_functions("tight", read_two))
+        with LocalWorkerFactory(manager, count=1, cores=1, cache_capacity=100_000):
+            call = FunctionCall("tight", "read_two", "a.bin", "b.bin")
+            call.add_input(manager.declare_buffer(b"a" * 60_000, "a.bin"))
+            call.add_input(manager.declare_buffer(b"b" * 60_000, "b.bin"))
+            task = PythonTask(read_two, "a.bin", "b.bin")
+            for f in call.inputs:
+                task.add_input(f)
+            started = time.monotonic()
+            manager.submit(call)
+            manager.submit(task)
+            assert _failed_within(manager, call, 1.0)
+            assert _failed_within(manager, task, 1.0)
+            assert time.monotonic() - started < 1.0
+            for failed in (call, task):
+                with pytest.raises(TaskFailure, match="a.bin 60000 B, b.bin 60000 B"):
+                    _ = failed.result
+            # The library's own blob is the only file that went out.
+            assert manager.stats.get("manager_sends", 0) <= 1
+            assert manager.stats.get("bytes_sent", 0) < 60_000
+            assert manager.stats.get("requeued", 0) == 0
+            assert manager.stats.get("workers_lost", 0) == 0
+
+
 def test_task_input_larger_than_the_cache_fails_cleanly():
     """Regression: a ``put_file`` bigger than the whole worker cache
     raised inside the worker's loop and killed it.  Now the worker

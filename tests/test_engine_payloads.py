@@ -5,8 +5,11 @@ round-trips through :class:`~repro.engine.payloads.PayloadStore`,
 pin/unpin refcounting holding segments alive under concurrent readers
 and eviction pressure, inline fallback when payloads sit below the
 shipping threshold (or shm is disabled outright), orphaned-segment
-reaping after a SIGKILLed owner, and a store-then-load identity
-property probed around the threshold boundary.
+reaping after a SIGKILLed owner, a store-then-load identity
+property probed around the threshold boundary, and the lifetime of a
+call's own argument segment: shared by identical calls in flight, gone
+once they settle (completed, failed, requeued or cancelled), and hashed
+once on its way into the store.
 """
 
 import os
@@ -26,6 +29,7 @@ from repro.engine import (
 )
 from repro.engine import payloads
 from repro.engine.payloads import PayloadError, PayloadStore
+from repro.errors import TaskTimeout
 
 
 def _blob_len(blob):
@@ -418,4 +422,243 @@ def test_cancel_queued_calls_mid_run_pins_return_to_zero():
         # Every pin drained: the declared argument's and every
         # per-dispatch task-blob pin taken for the survivors.
         assert _total_pins(manager) == 0
+    assert not _segments()
+
+
+# ------------------------------------------- per-call segment lifecycle
+def _drive_until(manager, predicate, seconds=60.0):
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        manager.wait(timeout=0.05)
+    return predicate()
+
+
+def _own_segments() -> set:
+    """Segments this process (the manager) created."""
+    own = f"{payloads.SHM_PREFIX}{os.getpid()}-"
+    return {n for n in _segments() if n.startswith(own)}
+
+
+def _assert_only_declared_left(manager, *args):
+    """The store holds the live declared arguments and nothing else, and
+    no other segment of the manager's exists."""
+    assert len(manager.payloads) == len(args)
+    assert all(a.digest in manager.payloads for a in args)
+    assert _total_pins(manager) == len(args)
+    assert _own_segments() == {a.shm for a in args}
+
+
+def test_transient_entry_unlinks_at_last_unpin():
+    with PayloadStore(budget=8 * 1024 * 1024) as store:
+        data = os.urandom(100_000)
+        descriptor = store.put(data, transient=True)
+        digest = descriptor["hash"]
+        store.pin(digest)
+        store.pin(digest)
+        assert store.put(bytes(data), transient=True) == descriptor  # shared
+        store.unpin(digest)
+        assert descriptor["shm"] in _segments()
+        store.unpin(digest)
+        assert digest not in store and descriptor["shm"] not in _segments()
+        assert store.stats()["bytes"] == 0
+        # A retained put of the same bytes keeps the entry past its pins.
+        store.put(data, transient=True)
+        store.put(data)
+        store.pin(digest)
+        store.unpin(digest)
+        assert digest in store
+
+
+def test_put_with_known_digest_does_not_hash(monkeypatch):
+    hashed = []
+    monkeypatch.setattr(payloads, "hash_bytes", lambda d: hashed.append(d) or "h")
+    with PayloadStore(budget=8 * 1024 * 1024) as store:
+        descriptor = store.put(b"k" * 50_000, "a" * 64)
+        assert hashed == []
+        assert descriptor["hash"] == "a" * 64
+        assert store.get("a" * 64) == b"k" * 50_000
+        once = payloads.publish_once(b"r" * 50_000)  # nor does a one-shot
+        assert hashed == []
+        assert payloads.fetch(once, consume=True) == b"r" * 50_000
+        store.put(b"raw" * 20_000)  # raw bytes without a digest still are
+        assert len(hashed) == 1
+
+
+def test_call_arguments_leave_the_store_when_the_wave_settles():
+    """20 calls with distinct 300 kB arguments: once they settle, only the
+    declared argument is left — no per-call segment waits for eviction."""
+    with Manager() as manager:
+        if manager.payloads is None:
+            pytest.skip("shared memory unavailable on this host")
+        shared = manager.declare_argument(os.urandom(300_000))
+        manager.install_library(
+            manager.create_library_from_functions(
+                "wave", _blob_len, function_slots=2
+            )
+        )
+        with LocalWorkerFactory(manager, count=2, cores=2):
+            blobs = [os.urandom(300_000) for _ in range(20)]
+            calls = [FunctionCall("wave", "_blob_len", b) for b in blobs]
+            calls.append(FunctionCall("wave", "_blob_len", shared))
+            for call in calls:
+                manager.submit(call)
+            manager.wait_all(calls, timeout=120.0)
+            assert [c.result for c in calls] == [300_000] * 21
+            assert manager.metrics.counter("payload.shm_evictions").value == 0
+            _assert_only_declared_left(manager, shared)
+        manager.release_argument(shared)
+    assert not _segments()
+
+
+def test_identical_calls_in_flight_share_one_entry():
+    blob = os.urandom(300_000)
+    with Manager() as manager:
+        if manager.payloads is None:
+            pytest.skip("shared memory unavailable on this host")
+        manager.install_library(
+            manager.create_library_from_functions(
+                "share", _hold_blob, function_slots=8
+            )
+        )
+        with LocalWorkerFactory(manager, count=1, cores=2):
+            calls = [FunctionCall("share", "_hold_blob", blob, 0.1) for _ in range(8)]
+            for call in calls:
+                manager.submit(call)
+            assert _drive_until(
+                manager, lambda: all(c.state.name != "SUBMITTED" for c in calls)
+            )
+            in_flight = sum(c.state.name == "DISPATCHED" for c in calls)
+            assert in_flight >= 2
+            assert len(manager.payloads) == 1
+            assert _total_pins(manager) == in_flight
+            manager.wait_all(calls, timeout=120.0)
+            assert all(c.result == len(blob) for c in calls)
+            assert len(manager.payloads) == 0
+            assert not _own_segments()
+    assert not _segments()
+
+
+def test_no_segment_survives_a_killed_worker_mid_wave():
+    with Manager(retry_backoff=0.05) as manager:
+        if manager.payloads is None:
+            pytest.skip("shared memory unavailable on this host")
+        manager.install_library(
+            manager.create_library_from_functions(
+                "killwave", _hold_blob, function_slots=2
+            )
+        )
+        factory = LocalWorkerFactory(manager, count=2, cores=2, name_prefix="kw")
+        factory.start()
+        injector = FaultInjector(manager=manager, factory=factory)
+        try:
+            calls = [
+                FunctionCall("killwave", "_hold_blob", os.urandom(300_000), 0.2)
+                for _ in range(12)
+            ]
+            for call in calls:
+                manager.submit(call)
+            assert _drive_until(
+                manager, lambda: any(c.state.name == "DISPATCHED" for c in calls)
+            )
+            victim = next(c.worker for c in calls if c.state.name == "DISPATCHED")
+            injector.kill_worker(int(victim.rsplit("-", 1)[1]))
+            injector.drive(calls, timeout=120.0)
+            assert all(c.result == 300_000 for c in calls)
+            assert manager.stats["workers_lost"] == 1
+            assert manager.stats["completed"] == len(calls)  # each settled once
+            assert len(manager.payloads) == 0
+        finally:
+            factory.stop()
+    payloads.reap_orphans()  # the killed worker's one-shot results
+    assert not _segments()
+
+
+def test_no_segment_survives_cancel_or_a_direct_timeout():
+    with Manager() as manager:
+        if manager.payloads is None:
+            pytest.skip("shared memory unavailable on this host")
+        manager.install_library(
+            manager.create_library_from_functions(
+                "cancelwave", _hold_blob, function_slots=1
+            )
+        )
+        with LocalWorkerFactory(manager, count=1, cores=1):
+            hung = FunctionCall("cancelwave", "_hold_blob", os.urandom(300_000), 30)
+            hung.set_timeout(0.8)
+            calls = [hung] + [
+                FunctionCall("cancelwave", "_hold_blob", os.urandom(300_000), 0.05)
+                for _ in range(4)
+            ]
+            for call in calls:
+                manager.submit(call)
+            assert _drive_until(manager, lambda: hung.state.name == "DISPATCHED")
+            assert not manager.cancel(hung)  # dispatched: runs to its deadline
+            queued = [c for c in calls if c.state.name == "SUBMITTED"]
+            assert queued
+            for call in queued[:2]:
+                assert manager.cancel(call)
+            manager.wait_all(calls, timeout=120.0)
+            assert isinstance(hung.exception, TaskTimeout)
+            assert all(c.exception is not None for c in queued[:2])
+            assert all(c.result == 300_000 for c in queued[2:])
+            settled = ("completed", "failed", "cancelled")
+            assert sum(manager.stats[k] for k in settled) == len(calls)
+            assert len(manager.payloads) == 0
+    assert not _segments()
+
+
+def test_call_dispatched_before_release_still_resolves():
+    """Calls pin no declared argument; a released one stays in the LRU,
+    so a call already on its way still reads it."""
+    blob = os.urandom(300_000)
+    with Manager() as manager:
+        if manager.payloads is None:
+            pytest.skip("shared memory unavailable on this host")
+        manager.install_library(
+            manager.create_library_from_functions(
+                "release", _blob_echo, function_slots=2
+            )
+        )
+        with LocalWorkerFactory(manager, count=1, cores=2):
+            arg = manager.declare_argument(blob)
+            call = FunctionCall("release", "_blob_echo", arg)
+            manager.submit(call)
+            assert _drive_until(manager, lambda: call.state.name != "SUBMITTED")
+            manager.release_argument(arg)
+            assert _total_pins(manager) == 0
+            manager.wait_all([call], timeout=120.0)
+            assert call.result == blob
+    assert not _segments()
+
+
+def test_manager_hashes_each_dispatched_argument_once(monkeypatch):
+    """serialize() hashes a call's 300 kB argument blob; staging it in the
+    store reuses that digest instead of hashing the blob again."""
+    from repro.serialize import core
+
+    big = []
+
+    def counting(data, _real=core.hash_bytes):
+        if len(data) >= 300_000:
+            big.append(len(data))
+        return _real(data)
+
+    monkeypatch.setattr(core, "hash_bytes", counting)
+    monkeypatch.setattr(payloads, "hash_bytes", counting)
+    with Manager() as manager:
+        if manager.payloads is None:
+            pytest.skip("shared memory unavailable on this host")
+        manager.install_library(
+            manager.create_library_from_functions("hash1", _blob_len, function_slots=2)
+        )
+        with LocalWorkerFactory(manager, count=1, cores=2):
+            calls = [
+                FunctionCall("hash1", "_blob_len", os.urandom(300_000))
+                for _ in range(6)
+            ]
+            for call in calls:
+                manager.submit(call)
+            manager.wait_all(calls, timeout=120.0)
+            assert all(c.result == 300_000 for c in calls)
+    assert len(big) == len(calls)
     assert not _segments()

@@ -25,7 +25,7 @@ from repro.engine import (
     TaskState,
 )
 from repro.engine.faults import find_library_pids
-from repro.errors import TaskFailure
+from repro.errors import TaskFailure, WorkerError
 from repro.obs.trace import merge_task_timeline, unparented_events
 
 
@@ -263,6 +263,53 @@ def test_chatty_python_task_does_not_wedge():
         manager.submit(task)
         manager.wait_all([task], timeout=30.0)
         assert task.result == 6
+
+
+def _flip(x):
+    return x
+
+
+def _flop(x):
+    return x
+
+
+def test_chatty_worker_does_not_wedge(monkeypatch):
+    """A worker logging at debug level writes ~70 bytes per library
+    deploy; its stderr was a pipe read only after a failed start, so
+    past 64 KiB the worker blocked on a log line and every call behind
+    it sat DISPATCHED for good.  Its stderr is a file now."""
+    from repro.engine.resources import Resources
+
+    with Manager() as manager:  # configures this process's logging first
+        monkeypatch.setenv("REPRO_LOG", "debug")  # for the worker only
+        one_core = Resources(cores=1, memory=100, disk=100)
+        for name, fn in (("flip", _flip), ("flop", _flop)):
+            manager.install_library(
+                manager.create_library_from_functions(name, fn, resources=one_core)
+            )
+        with LocalWorkerFactory(manager, count=1, cores=1) as factory:
+            # Two one-core libraries on a one-core worker: every call
+            # evicts the other library and deploys its own.
+            for n in range(1200):
+                name = ("flip", "flop")[n % 2]
+                assert _call(manager, name, f"_{name}", n, timeout=10.0).result == n
+            log = os.path.join(factory.workdir, "worker-0", "worker.stderr")
+            assert os.path.getsize(log) > 64 * 1024
+
+
+def test_worker_that_dies_at_start_reports_its_stderr(tmp_path):
+    """A worker that exits before it registers: the factory's error
+    carries the worker's own stderr."""
+    (tmp_path / "worker-0").mkdir()
+    (tmp_path / "worker-0" / "cache").write_text("a file where the cache goes")
+    with Manager() as manager:
+        factory = LocalWorkerFactory(
+            manager, count=1, cores=1, workdir=str(tmp_path), connect_timeout=3.0
+        )
+        with pytest.raises(WorkerError, match="workers failed to connect") as failure:
+            factory.start()
+        assert "Traceback" in str(failure.value)
+        assert "cache" in str(failure.value)
 
 
 def test_failed_setup_reports_the_stderr_tail():
