@@ -45,6 +45,12 @@ if grep -nE 'select\.select\(|\._recv_buffer|\._recv_pos' src/repro/engine/*.py 
     || grep -nE 'selectors\.DefaultSelector\(' src/repro/engine/*.py | grep -v '^src/repro/engine/loop\.py:'; then
     echo "FAIL: a hand-rolled selector loop is back; repro/engine/loop.py is the one event loop"; exit 1
 fi
+# Peer transfers run on their owner's event loop (engine/transfer.py):
+# no thread under engine/, and neither blocking transfer server nor
+# blocking fetch is back.
+if grep -rnE --include='*.py' 'threading|_TransferServer|_BlobServer|_fetch_blob' src/repro/engine/; then
+    echo "FAIL: a thread or a blocking peer transfer is back under repro/engine"; exit 1
+fi
 # A library instance dials the manager's numeric address with a plain
 # connect.  Anything that resolves names first loads glibc's name-service
 # machinery into the freshly forked process: 3.1-3.4 ms of CPU per

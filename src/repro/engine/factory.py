@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from typing import List, Optional
 
 from repro.engine.manager import Manager
@@ -95,11 +96,15 @@ class LocalWorkerFactory:
                     subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=stderr)
                 )
             self._workdirs.append(wdir)
-        try:
-            self.manager.wait_for_workers(
-                preexisting + self.count, timeout=self.connect_timeout
-            )
-        except WorkerError:
+        # Until all register, the timeout passes, or every one has exited.
+        procs = self.procs[-self.count:]
+        deadline = time.monotonic() + self.connect_timeout
+        while True:
+            try:
+                return self.manager.wait_for_workers(preexisting + self.count, timeout=0.1)
+            except WorkerError:
+                if time.monotonic() < deadline and any(p.poll() is None for p in procs):
+                    continue
             details = self._collect_stderr()
             self.stop()
             raise WorkerError(f"workers failed to connect:\n{details}") from None

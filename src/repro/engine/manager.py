@@ -32,7 +32,8 @@ every invocation goes down that link and its result comes straight
 back; the worker keeps instance lifecycle and the file cache.  An
 invocation with input files is held until its worker confirms each
 input present (``cache_update``), since the instance stages them from
-that worker's cache itself.  The worker link stays the failure
+that worker's cache itself; so is a task or library frame whose file is
+still on its way from a peer.  The worker link stays the failure
 authority: a result is applied only if its task is still bound to the
 instance that sent it, and a lost instance link only takes the instance
 out of scheduling until the worker reports its exit.
@@ -121,13 +122,15 @@ class _WorkerLink:
     transfer_host: str = ""
     transfer_port: int = 0
     cached: Set[str] = field(default_factory=set)       # confirmed holdings
-    assumed: Set[str] = field(default_factory=set)      # sent, not yet confirmed
+    assumed: Set[str] = field(default_factory=set)      # put_file sent, unconfirmed
+    fetching: Set[str] = field(default_factory=set)     # peer transfer under way
     status: Dict[str, Any] = field(default_factory=dict)  # last status report
     last_seen: float = 0.0  # monotonic stamp of the last received frame
     shm: bool = False  # worker shares the manager's shared-memory domain
     cache_capacity: Optional[int] = None  # bytes; None = unbounded
-    # Invocations bound to an instance here, waiting for their inputs to
-    # be confirmed: (task id, instance id, input hashes, (header, blob)).
+    # Frames waiting for files this worker has not confirmed: (key,
+    # hashes, (header, payload)), key ("task", task id), ("library",
+    # instance id) or ("invocation", task id, instance id).
     held: List[tuple] = field(default_factory=list)
 
 
@@ -245,9 +248,9 @@ class Manager:
         self._workers: Dict[str, _WorkerLink] = {}
         self._libraries: Dict[str, LibraryTask] = {}
         self._instances: Dict[int, _InstanceRecord] = {}
-        # hash -> worker names confirmed to hold the file (peer-transfer
-        # source lookup without scanning every _WorkerLink).
-        self._file_holders: Dict[str, Set[str]] = {}
+        # hash -> workers confirmed to hold the file, in confirmation
+        # order (a dict: the peer source never follows the hash seed).
+        self._file_holders: Dict[str, Dict[str, None]] = {}
         # instance link -> invocation frames accumulated during the
         # current dispatch round, coalesced into one frame per link on
         # flush.
@@ -616,7 +619,13 @@ class Manager:
             worker = task.worker
             if worker in self._workers:
                 link = self._workers[worker]
-                self.loop.send(link.conn, {"type": "cancel", "task_id": task.id})
+                if any(key == ("task", task.id) for key, _, _ in link.held):
+                    # Never sent: fail it here, and its held frame is dropped.
+                    self._on_task_failed(
+                        {"task_id": task.id, "error": "cancelled by the manager"}
+                    )
+                else:
+                    self.loop.send(link.conn, {"type": "cancel", "task_id": task.id})
                 self.stats["cancelled"] += 1
                 return True
         return False
@@ -1040,74 +1049,67 @@ class Manager:
             raise WorkerError(f"worker {worker!r} is gone")
         return link
 
-    def _ensure_file(self, link: _WorkerLink, f: VineFile) -> None:
-        """Make ``f`` present in ``link``'s cache before the next command.
-
-        Messages are handled in order on the worker, so sending the file
-        (or a transfer directive) immediately before a task or library
-        command is sufficient; no acknowledgement round-trip is required.
-        An invocation travels on another link, so it waits for the
-        ``cache_update`` instead (``_settle_held``).
-        """
-        if f.hash in link.cached or f.hash in link.assumed:
+    def _ensure_file(self, link: _WorkerLink, f: VineFile, peer: bool = True) -> None:
+        """Start ``f`` on its way to ``link``'s cache unless it is there or
+        under way: a ``transfer`` from the earliest-confirmed holder, else
+        a ``put_file``.  The worker handles its link in order, so a frame
+        sent behind a ``put_file`` finds the file in place; one that needs
+        a transfer, and any invocation, waits on ``link.held`` for the
+        ``cache_update`` instead (``_hold_or_send``, ``_settle_held``)."""
+        if f.hash in link.cached or f.hash in link.assumed or f.hash in link.fetching:
             return
         started = time.monotonic()
-        if (
-            f.peer_transfer
-            and self.transfer_mode is not TransferMode.MANAGER_ONLY
-        ):
-            holder = None
+        holder = None
+        if peer and f.peer_transfer and self.transfer_mode is not TransferMode.MANAGER_ONLY:
             for wname in self._file_holders.get(f.hash, ()):
                 candidate = self._workers.get(wname)
-                if (
-                    candidate is not None
-                    and candidate.name != link.name
-                    and candidate.transfer_port
-                ):
+                if wname != link.name and candidate and candidate.transfer_port:
                     holder = candidate
                     break
-            if holder is not None:
-                link.conn.send_buffered(
-                    {
-                        "type": "transfer",
-                        "hash": f.hash,
-                        "host": holder.transfer_host,
-                        "port": holder.transfer_port,
-                        "size": f.size,
-                    }
-                )
-                link.assumed.add(f.hash)
-                self.stats["peer_transfers"] += 1
-                elapsed = time.monotonic() - started
-                self.stats["transfer_seconds"] += elapsed
-                self.tracer.record(
-                    "transfer_done",
-                    mode="peer",
-                    hash=f.hash,
-                    bytes=f.size,
-                    worker=link.name,
-                    source=holder.name,
-                    seconds=elapsed,
-                )
-                return
-        data = self.store.read(f.hash)
-        link.conn.send_buffered(
-            {"type": "put_file", "hash": f.hash, "name": f.remote_name, "size": f.size},
-            data,
-        )
-        link.assumed.add(f.hash)
-        self.stats["manager_sends"] += 1
-        self.stats["bytes_sent"] += len(data)
+        if holder is not None:
+            link.conn.send_buffered(
+                {
+                    "type": "transfer",
+                    "hash": f.hash,
+                    "host": holder.transfer_host,
+                    "port": holder.transfer_port,
+                    "size": f.size,
+                }
+            )
+            link.fetching.add(f.hash)
+            self.stats["peer_transfers"] += 1
+            route = {"mode": "peer", "source": holder.name}
+        else:
+            data = self.store.read(f.hash)
+            link.conn.send_buffered(
+                {"type": "put_file", "hash": f.hash, "name": f.remote_name, "size": f.size},
+                data,
+            )
+            link.assumed.add(f.hash)
+            self.stats["manager_sends"] += 1
+            self.stats["bytes_sent"] += len(data)
+            route = {"mode": "manager"}
         elapsed = time.monotonic() - started
         self.stats["transfer_seconds"] += elapsed
         self.tracer.record(
             "transfer_done",
-            mode="manager",
             hash=f.hash,
-            bytes=len(data),
+            bytes=f.size,
             worker=link.name,
             seconds=elapsed,
+            **route,
         )
+
+    def _hold_or_send(
+        self, link: _WorkerLink, key: tuple, files: List[VineFile], frame: tuple
+    ) -> None:
+        """Send a task or library frame down ``link`` behind its files,
+        or hold it while one of them is still on its way from a peer."""
+        fetching = {f.hash for f in files if f.hash in link.fetching}
+        if fetching:
+            link.held.append((key, fetching, frame))
+        else:
+            link.conn.send_buffered(*frame)
 
     # ------------------------------------------------------- payload plane
     def _code_blob_for(self, fn: Callable[..., Any]) -> bytes:
@@ -1243,10 +1245,11 @@ class Manager:
             return False
         link = self._link_for(worker)
         transfer_started = time.monotonic()
-        for f in task.inputs:
-            self._ensure_file(link, f)
+        files = list(task.inputs)
         if task.environment is not None:
-            self._ensure_file(link, task.environment)
+            files.append(task.environment)
+        for f in files:
+            self._ensure_file(link, f)
         task.mark("overhead.manager_transfer", time.monotonic() - transfer_started)
         # A task carries its code with it (Table 1), but code and
         # arguments are serialized separately: the code blob is memoized
@@ -1274,7 +1277,7 @@ class Manager:
         else:
             parts.append(args_blob)
         self._count_payload(task, len(code_blob), copied=True)
-        link.conn.send_buffered(header, parts)
+        self._hold_or_send(link, ("task", task.id), files, (header, parts))
         task.state = TaskState.DISPATCHED
         task.worker = worker
         task.mark("dispatched", time.monotonic())
@@ -1336,7 +1339,8 @@ class Manager:
             payload = b""
         if task.inputs and not all(f.hash in link.cached for f in task.inputs):
             inputs = {f.hash for f in task.inputs}
-            link.held.append((task.id, inst.instance_id, inputs, (header, payload)))
+            key = ("invocation", task.id, inst.instance_id)
+            link.held.append((key, inputs, (header, payload)))
         else:
             conn = self._instances[inst.instance_id].conn
             self._outbox.setdefault(conn, []).append((header, payload))
@@ -1427,23 +1431,21 @@ class Manager:
         env_file: Optional[VineFile] = library._env_file  # type: ignore[attr-defined]
         data_files: List[VineFile] = library._data_files  # type: ignore[attr-defined]
         inputs = [spec_file] + data_files + list(library.inputs)
-        for f in inputs:
+        files = inputs + ([env_file] if env_file is not None else [])
+        for f in files:
             self._ensure_file(link, f)
-        if env_file is not None:
-            self._ensure_file(link, env_file)
         token = secrets.token_hex(16)
-        link.conn.send_buffered(
-            {
-                "type": "library",
-                "instance_id": instance_id,
-                "library_name": library.name,
-                "spec_name": spec_file.remote_name,
-                "env_hash": env_file.hash if env_file else None,
-                "inputs": [{"hash": f.hash, "name": f.remote_name} for f in inputs],
-                "slots": library.function_slots,
-                "token": token,
-            }
-        )
+        frame = {
+            "type": "library",
+            "instance_id": instance_id,
+            "library_name": library.name,
+            "spec_name": spec_file.remote_name,
+            "env_hash": env_file.hash if env_file else None,
+            "inputs": [{"hash": f.hash, "name": f.remote_name} for f in inputs],
+            "slots": library.function_slots,
+            "token": token,
+        }
+        self._hold_or_send(link, ("library", instance_id), files, (frame, b""))
         slot = self.placement.workers[worker]
         record = _InstanceRecord(
             instance=slot.libraries[instance_id], library=library, token=token
@@ -1563,16 +1565,7 @@ class Manager:
             if "rss_bytes" in report:
                 self._fold_heartbeat(link.name, report)
         elif mtype == "cache_update":
-            digest = message["hash"]
-            link.assumed.discard(digest)
-            if message.get("present"):
-                link.cached.add(digest)
-                self._file_holders.setdefault(digest, set()).add(link.name)
-            else:
-                link.cached.discard(digest)
-                self._drop_holder(digest, link.name)
-            if link.held:
-                self._settle_held(link, digest, message)
+            self._on_cache_update(link, message)
         elif mtype == "library_ready":
             self._on_library_ready(message)
         elif mtype == "library_failed":
@@ -1585,34 +1578,69 @@ class Manager:
             self._on_task_failed(message)
         # unknown worker messages are tolerated for forward compatibility
 
+    def _on_cache_update(self, link: _WorkerLink, message: Dict[str, Any]) -> None:
+        """A file confirmed present or reported absent; a failed peer fetch
+        falls back, once, to a ``put_file`` from the manager's store."""
+        digest = message["hash"]
+        fetched = digest in link.fetching
+        link.fetching.discard(digest)
+        link.assumed.discard(digest)
+        if message.get("present"):
+            link.cached.add(digest)
+            self._file_holders.setdefault(digest, {})[link.name] = None
+        else:
+            link.cached.discard(digest)
+            self._drop_holder(digest, link.name)
+            if fetched:
+                self._ensure_file(link, self.store.get(digest), peer=False)
+        if link.held:
+            self._settle_held(link, digest, message)
+        if self._outbox or link.conn.pending_out:
+            self._flush_round()
+
     def _settle_held(
         self, link: _WorkerLink, digest: str, message: Dict[str, Any]
     ) -> None:
-        """A ``cache_update`` for ``digest`` on ``link``: send each held
-        invocation whose inputs are now all present down its instance's
-        link, and requeue, without blame, each whose input is absent."""
+        """Release what a ``cache_update`` for ``digest`` unblocks: a task
+        or library frame once none of its files is still under way from a
+        peer (a fallback ``put_file`` is queued ahead of it), an invocation
+        once all its inputs are present; an invocation whose input is
+        absent with no ``put_file`` on the way is requeued without blame.
+        A frame no longer bound where it waits is dropped."""
         held, link.held = link.held, []
         for entry in held:
-            task_id, instance_id, inputs, frame = entry
-            if digest not in inputs:
+            key, needs, frame = entry
+            if digest not in needs:
                 link.held.append(entry)
-            elif self.state.invocation_instance.get(task_id) != instance_id:
-                continue  # settled meanwhile: its instance failed or left
-            elif not message.get("present"):
+            elif not self._held_bound(link, key):
+                continue  # settled meanwhile: its task or instance failed or left
+            elif key[0] != "invocation":
+                if needs & link.fetching:
+                    link.held.append(entry)
+                else:
+                    link.conn.send_buffered(*frame)
+            elif not message.get("present") and digest not in link.assumed:
                 self._on_task_failed({
                     "type": "task_failed",
-                    "task_id": task_id,
+                    "task_id": key[1],
                     "kind": "requeue",
                     "error": message.get("error") or "input evicted before use",
                 })
-            elif not all(h in link.cached for h in inputs):
+            elif not needs <= link.cached:
                 link.held.append(entry)
             else:
-                conn = self._instances[instance_id].conn
+                conn = self._instances[key[2]].conn
                 if conn is not None:  # else lost: the exit report settles it
                     self._outbox.setdefault(conn, []).append(frame)
-        if self._outbox:
-            self._flush_round()
+
+    def _held_bound(self, link: _WorkerLink, key: tuple) -> bool:
+        """Whether a held frame's task or instance is still bound there."""
+        if key[0] == "task":
+            return self.state.task_worker_key.get(key[1]) == link.name
+        if key[0] == "library":
+            record = self._instances.get(key[1])
+            return record is not None and not record.removing
+        return self.state.invocation_instance.get(key[1]) == key[2]
 
     def _fold_heartbeat(self, worker: str, report: Dict[str, Any]) -> None:
         """Fold one worker's resource heartbeat into per-worker gauges.
@@ -1924,7 +1952,7 @@ class Manager:
     def _drop_holder(self, digest: str, worker: str) -> None:
         holders = self._file_holders.get(digest)
         if holders is not None:
-            holders.discard(worker)
+            holders.pop(worker, None)
             if not holders:
                 del self._file_holders[digest]
 

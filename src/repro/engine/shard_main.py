@@ -12,8 +12,9 @@ frames:
   frames keyed by the router's id.
 * ``install_library`` / ``stage_library`` — install a library blob (or
   just park it in the stage directory for a later re-home).  Staged
-  blobs are served to *peer shards* by a small blob server thread, so a
-  spanning-tree broadcast only crosses the router once.
+  blobs are served to *peer shards*, and fetched from them, on the
+  shard's event loop, so a spanning-tree broadcast only crosses the
+  router once.
 * ``declare`` / ``release`` — mirror a declared argument into the
   shard's own payload store (segments are per-process, so every shard
   re-declares from the blob and keeps a digest → local-handle map).
@@ -32,14 +33,15 @@ import argparse
 import os
 import socket
 import sys
-import threading
 import time
+from functools import partial
 from typing import Any, Dict, Optional
 
 from repro.engine import messages, payloads
 from repro.engine.factory import LocalWorkerFactory
 from repro.engine.manager import Manager
 from repro.engine.task import FunctionCall, PythonTask, Task, TaskState
+from repro.engine.transfer import fetch_file, serve_files
 from repro.obs.statusd import shard_status_port, status_port
 from repro.serialize.core import deserialize, serialize
 from repro.serialize.source import FunctionCode
@@ -68,69 +70,8 @@ def _resolve_status_port(index: int) -> Optional[int]:
     return port
 
 
-class _BlobServer(threading.Thread):
-    """Serves staged library blobs to peer shards by digest.
-
-    Same shape as the worker's peer-transfer server: a daemon thread
-    that only reads atomically-renamed files, so it needs no lock
-    against the main loop.
-    """
-
-    def __init__(self, stage_dir: str):
-        super().__init__(daemon=True, name="shard-blob-server")
-        self.stage_dir = stage_dir
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.sock.bind(("127.0.0.1", 0))
-        self.sock.listen(16)
-        self.port = self.sock.getsockname()[1]
-        self._stop = threading.Event()
-
-    def run(self) -> None:
-        self.sock.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                client, _ = self.sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            try:
-                conn = messages.Connection(client, name="peer-shard")
-                request, _ = conn.receive(timeout=5.0)
-                digest = str(request.get("digest", ""))
-                path = os.path.join(self.stage_dir, digest)
-                if request.get("type") == "get" and os.path.isfile(path):
-                    with open(path, "rb") as fh:
-                        data = fh.read()
-                    conn.send({"type": "data", "ok": True}, data)
-                else:
-                    conn.send({"type": "data", "ok": False, "error": "not staged"})
-            except Exception:
-                pass
-            finally:
-                client.close()
-
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-def _fetch_blob(source: str, digest: str) -> bytes:
-    """Pull one staged blob from a peer shard's blob server."""
-    host, port = source.rsplit(":", 1)
-    conn = messages.connect(host, int(port), name="peer-fetch")
-    try:
-        conn.send({"type": "get", "digest": digest})
-        reply, data = conn.receive(timeout=30.0)
-        if not reply.get("ok"):
-            raise OSError(f"peer {source} has no blob {digest[:12]}")
-        return data
-    finally:
-        conn.close()
+# A blob fetch from a peer shard that has not landed by then fails.
+BLOB_FETCH_TIMEOUT = 30.0
 
 
 class Shard:
@@ -169,8 +110,7 @@ class Shard:
             workdir=os.path.join(workdir, "workers"),
             name_prefix=f"{name}-worker",
         )
-        self.blob_server = _BlobServer(self.stage_dir)
-        self.blob_server.start()
+        self.blob_server = serve_files(self.manager.loop, self.stage_dir)
         host, port = router_addr.rsplit(":", 1)
         self.conn = messages.connect(host, int(port), name=f"shard-{name}")
         self.conn.send(
@@ -178,7 +118,7 @@ class Shard:
                 "type": "register_shard",
                 "shard": name,
                 "pid": os.getpid(),
-                "blob_port": self.blob_server.port,
+                "blob_port": self.blob_server.getsockname()[1],
                 "status_port": (
                     self.manager.status_server.port
                     if self.manager.status_server is not None
@@ -315,33 +255,42 @@ class Shard:
             fh.write(blob)
         os.replace(tmp, path)
 
-    def _obtain_blob(self, message: dict, payload: bytes) -> bytes:
-        """The library blob from the frame, the stage dir, or a peer."""
+    def _on_install(self, message: dict, payload: bytes) -> None:
         digest = str(message["digest"])
         if payload:
             self._stage_bytes(digest, payload)
-            return payload
-        if message.get("from_stage") or not message.get("source"):
+        else:  # pre-staged here
             with open(self._blob_path(digest), "rb") as fh:
-                return fh.read()
-        blob = _fetch_blob(str(message["source"]), digest)
-        self._stage_bytes(digest, blob)
-        return blob
-
-    def _on_install(self, message: dict, payload: bytes) -> None:
-        blob = self._obtain_blob(message, payload)
-        library = deserialize(blob)
+                payload = fh.read()
+        library = deserialize(payload)
         if library.name not in self.manager._libraries:
             self.manager.install_library(library)
-        self._send(
-            {"type": "library_ready", "name": library.name, "digest": message["digest"]}
-        )
+        self._send({"type": "library_ready", "name": library.name, "digest": digest})
 
     def _on_stage(self, message: dict, payload: bytes) -> None:
-        self._obtain_blob(message, payload)
-        self._send(
-            {"type": "staged", "name": message.get("name"), "digest": message["digest"]}
-        )
+        """Stage the blob the frame carries, or fetch it from the peer
+        shard named in ``source`` without blocking this loop; ``staged``
+        follows once it is on disk."""
+        digest = str(message["digest"])
+        if message.get("source"):
+            host, port = str(message["source"]).rsplit(":", 1)
+            done = partial(self._staged, message.get("name"), digest)
+            address = (host, int(port))
+            fetch_file(self.manager.loop, address, digest, BLOB_FETCH_TIMEOUT, done)
+        else:
+            self._staged(message.get("name"), digest, payload)
+
+    def _staged(self, name: Optional[str], digest: str, blob: Any) -> None:
+        """Stage ``blob`` (or the error that stopped it) and answer."""
+        if isinstance(blob, bytes):
+            try:
+                self._stage_bytes(digest, blob)
+            except OSError as exc:
+                blob = exc
+        if isinstance(blob, Exception):
+            self._send({"type": "error", "error": f"staging {digest[:12]}: {blob}"})
+        else:
+            self._send({"type": "staged", "name": name, "digest": digest})
 
     def _on_declare(self, message: dict, payload: bytes) -> None:
         digest = str(message["digest"])
@@ -427,7 +376,7 @@ class Shard:
         self._send(frame)
 
     def close(self) -> None:
-        self.blob_server.stop()
+        self.blob_server.close()
         try:
             self.conn.close()
         except Exception:

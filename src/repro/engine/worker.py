@@ -1,7 +1,6 @@
 """Worker-side logic: task execution, library hosting, caching, peer serving.
 
-A worker is a single-threaded event loop (``repro.engine.loop``, plus one
-thread serving peer file transfers) that:
+A worker is a single-threaded event loop (``repro.engine.loop``) that:
 
 * maintains a content-addressed :class:`~repro.engine.cache.WorkerCache`;
 * executes :class:`~repro.engine.task.PythonTask` work as fresh
@@ -16,13 +15,14 @@ thread serving peer file transfers) that:
   An instance stages a call's input files from this worker's cache
   directory itself.  The worker kills an instance whose direct-mode
   deadline the manager reports (``expire``);
-* serves cached files to peer workers (Figure 3b spanning-tree transfers).
+* serves cached files to peer workers and fetches from them (Figure 3b
+  spanning-tree transfers), on the same loop (``repro.engine.transfer``).
 
 Messages are processed in arrival order, so a ``put_file`` that precedes
-a ``task`` or a ``library`` is guaranteed visible by execution time —
-the manager relies on this to stage inputs without an extra round trip.
-Invocations arrive on another link, so the manager holds one with input
-files until this worker's ``cache_update`` confirms them.
+a ``task`` or a ``library`` is guaranteed visible by execution time.  A
+peer fetch lands whenever it ends and invocations arrive on another
+link, so the manager holds a frame behind either until this worker's
+``cache_update`` confirms its files.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 import traceback
 import uuid
@@ -55,10 +54,15 @@ from repro.engine.sandbox import (
     Sandbox,
     stderr_tail,
 )
-from repro.errors import CacheError, EngineError, ProtocolError
+from repro.engine.transfer import fetch_file, serve_files
+from repro.errors import CacheError, ProtocolError
 from repro.obs.perflog import rss_bytes
 from repro.obs.trace import get_tracer
 from repro.util.logging import get_logger
+
+
+# A peer fetch that has not landed by then reports the file absent.
+PEER_FETCH_TIMEOUT = 60.0
 
 
 def _child_env() -> Dict[str, str]:
@@ -111,60 +115,6 @@ class _LibraryHandle:
     kill_timer: Optional[Timer] = None  # SIGKILL escalation while leaving
 
 
-class _TransferServer(threading.Thread):
-    """Serves ``get``-by-hash requests to peer workers from the cache dir.
-
-    Runs as a daemon thread: only ever *reads* completed (atomically
-    renamed) cache files, so it needs no lock against the main loop.
-    """
-
-    def __init__(self, cache_root: str):
-        super().__init__(daemon=True, name="peer-transfer-server")
-        self.cache_root = cache_root
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.sock.bind(("127.0.0.1", 0))
-        self.sock.listen(16)
-        self.port = self.sock.getsockname()[1]
-        self.bytes_served = 0
-        self.requests_served = 0
-        self._stop = threading.Event()
-
-    def run(self) -> None:
-        self.sock.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                client, _ = self.sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            try:
-                conn = messages.Connection(client, name="peer")
-                request, _ = conn.receive(timeout=5.0)
-                digest = str(request.get("hash", ""))
-                path = os.path.join(self.cache_root, digest)
-                if request.get("type") == "get" and os.path.isfile(path):
-                    with open(path, "rb") as fh:
-                        data = fh.read()
-                    conn.send({"type": "data", "ok": True}, data)
-                    self.bytes_served += len(data)
-                    self.requests_served += 1
-                else:
-                    conn.send({"type": "data", "ok": False, "error": "not cached"})
-            except Exception:
-                pass
-            finally:
-                client.close()
-
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
 class Worker:
     """One worker node of the execution engine."""
 
@@ -210,7 +160,6 @@ class Worker:
         self.socket_root = os.path.join(self.workdir, "sockets")
         os.makedirs(self.socket_root, exist_ok=True)
         self._socket_fallback: Optional[str] = None
-        self.transfer_server = _TransferServer(self.cache.root)
         self.manager = messages.connect(manager_host, manager_port, name="manager")
         self.tasks: Dict[int, _RunningTask] = {}
         self.libraries: Dict[int, _LibraryHandle] = {}
@@ -219,6 +168,7 @@ class Worker:
         self.template: Optional[messages.Connection] = None
         self._template_proc: Optional[subprocess.Popen] = None
         self.loop = EventLoop()
+        self.file_server = serve_files(self.loop, self.cache.root)
         self._task_poll: Optional[Timer] = None  # 20 ms, while tasks run
         self._running = True
         # Data-plane accounting mirrored to the manager in status
@@ -253,7 +203,6 @@ class Worker:
 
     # -- lifecycle ----------------------------------------------------------
     def register(self) -> None:
-        self.transfer_server.start()
         try:
             self._start_template()  # boots while the manager answers
         except OSError as exc:
@@ -264,7 +213,7 @@ class Worker:
                 "worker": self.name,
                 "resources": self.resources.to_dict(),
                 "transfer_host": "127.0.0.1",
-                "transfer_port": self.transfer_server.port,
+                "transfer_port": self.file_server.getsockname()[1],
                 "cache_capacity": self.cache.capacity,
                 # shm negotiation: descriptors only flow between peers in
                 # the same shared-memory domain (same machine, same boot).
@@ -312,7 +261,6 @@ class Worker:
             "running_tasks": len(self.tasks),
             "libraries": len(self.libraries),
             "ready_libraries": sum(1 for h in self.libraries.values() if h.ready),
-            "peer_bytes_served": self.transfer_server.bytes_served,
             # HEARTBEAT_FIELDS (messages.py): stable resource extras.
             "rss_bytes": rss_bytes(),
             "busy_slots": len(self.tasks),
@@ -354,7 +302,7 @@ class Worker:
         for running in list(self.tasks.values()):
             if running.proc.poll() is None:
                 running.proc.terminate()
-        self.transfer_server.stop()
+        self.file_server.close()
         self.manager.close()
         self.loop.close()
         if self._socket_fallback is not None:
@@ -377,47 +325,31 @@ class Worker:
         self.loop.remove(self.manager)  # nothing behind a shutdown is served
 
     def _on_put_file(self, message: dict, payload: bytes) -> None:
-        digest = message["hash"]
-        try:
-            self.cache.insert_bytes(digest, payload)
-        except CacheError as exc:  # e.g. larger than the whole cache
-            self._send(
-                {
-                    "type": "cache_update",
-                    "hash": digest,
-                    "present": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-            return
-        self._send({"type": "cache_update", "hash": digest, "present": True})
+        self._store(message["hash"], payload)
 
     def _on_transfer(self, message: dict, payload: bytes) -> None:
-        """Fetch a file from a peer worker (synchronous; peers serve from a thread)."""
+        """Fetch a file from a peer worker on this loop; its
+        ``cache_update`` goes out when the fetch ends."""
         digest = message["hash"]
         if digest in self.cache:
             self._send({"type": "cache_update", "hash": digest, "present": True})
-            return
-        try:
-            peer = messages.connect(message["host"], int(message["port"]), name="peer")
+        else:
+            source = (message["host"], int(message["port"]))
+            done = partial(self._store, digest)
+            fetch_file(self.loop, source, digest, PEER_FETCH_TIMEOUT, done)
+
+    def _store(self, digest: str, outcome: Any) -> None:
+        """Insert ``outcome`` — the file's bytes, or the error that
+        stopped them — and report the file present or absent."""
+        if isinstance(outcome, bytes):
             try:
-                peer.send({"type": "get", "hash": digest})
-                reply, data = peer.receive(timeout=60.0)
-            finally:
-                peer.close()
-            if not reply.get("ok"):
-                raise EngineError(reply.get("error", "peer refused"))
-            self.cache.insert_bytes(digest, data)
-            self._send({"type": "cache_update", "hash": digest, "present": True})
-        except Exception as exc:
-            self._send(
-                {
-                    "type": "cache_update",
-                    "hash": digest,
-                    "present": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+                self.cache.insert_bytes(digest, outcome)
+            except (CacheError, OSError) as exc:  # e.g. larger than the whole cache
+                outcome = exc
+        update = {"type": "cache_update", "hash": digest, "present": True}
+        if not isinstance(outcome, bytes):
+            update.update(present=False, error=f"{type(outcome).__name__}: {outcome}")
+        self._send(update)
 
     def _ensure_environment(self, env_hash: Optional[str]) -> tuple[Optional[str], float]:
         """Unpack a cached environment package once; return (dir, seconds_spent)."""

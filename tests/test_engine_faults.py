@@ -9,6 +9,7 @@ wall-clock invocation timeouts, and the deterministic fault-injection
 harness in :mod:`repro.engine.faults`.
 """
 
+import contextlib
 import os
 import signal
 import socket
@@ -24,6 +25,7 @@ from repro.engine import (
     LocalWorkerFactory,
     Manager,
     PythonTask,
+    Resources,
     TaskState,
 )
 from repro.engine.messages import Connection
@@ -225,6 +227,118 @@ def test_context_reaches_second_worker_via_peer_transfer():
                 second_factory.stop()
         finally:
             first_factory.stop()
+
+
+@contextlib.contextmanager
+def _fetch_from_a_stalled_holder():
+    """Two one-core workers: ``holder-0`` with a warm ``peered`` instance
+    and its 200 kB context in cache, then ``fetcher-0`` with a warm
+    instance of ``quick``, which asks for no core and for more memory
+    than the holder has, so it lands on the fetcher and leaves its core
+    free (eviction is off so that it stays).  The holder is stalled and two
+    ``peered`` calls go in: one lands on the holder's instance, the other
+    needs an instance on the fetcher, which fetches the context from the
+    holder.  Yields (manager, injector, calls) once that fetch is under
+    way; resumes the holder and stops both workers on the way out."""
+    from repro.discover.data import declare_data
+
+    with Manager(liveness_deadline=2.0, enable_library_eviction=False) as manager:
+        binding = declare_data(bytes(200_000), remote_name="big.bin")
+        manager.install_library(
+            manager.create_library_from_functions(
+                "peered", peered_fn, context=peered_setup, data=[binding]
+            )
+        )
+        manager.install_library(
+            manager.create_library_from_functions(
+                "quick", quick, resources=Resources(cores=0, memory=2048)
+            )
+        )
+        holders = LocalWorkerFactory(
+            manager, count=1, cores=1, memory=1024, name_prefix="holder",
+            status_interval=0.2,
+        )
+        fetchers = LocalWorkerFactory(
+            manager, count=1, cores=1, name_prefix="fetcher", status_interval=0.2
+        )
+        injector = FaultInjector(manager, holders)
+        try:
+            holders.start()
+            warm = FunctionCall("peered", "peered_fn", 0)
+            manager.submit(warm)
+            manager.wait_all([warm], timeout=60)
+            holder = manager._workers["holder-0"]
+            deadline = time.monotonic() + 10
+            while binding.content_hash not in holder.cached and time.monotonic() < deadline:
+                manager.wait(timeout=0.05)
+            fetchers.start()
+            probe = FunctionCall("quick", "quick", 0)
+            manager.submit(probe)
+            manager.wait_all([probe], timeout=60)
+            assert (warm.worker, probe.worker) == ("holder-0", "fetcher-0")
+
+            assert manager.stats["peer_transfers"] == 0
+            injector.stall_worker(0)
+            calls = [FunctionCall("peered", "peered_fn", 0) for _ in range(2)]
+            for c in calls:
+                manager.submit(c)
+            deadline = time.monotonic() + 10
+            while not manager.stats["peer_transfers"]:
+                assert time.monotonic() < deadline, "no peer transfer was started"
+                manager.wait(timeout=0.05)
+            yield manager, injector, calls
+        finally:
+            injector.resume_worker(0)
+            fetchers.stop()
+            holders.stop()
+
+
+def test_a_stalled_source_costs_the_fetching_worker_nothing():
+    """Regression: the fetch blocked the fetching worker's loop, so its
+    status frames stopped and the manager declared the *healthy* worker
+    lost half a second after the stalled one, leaving no worker at all."""
+    with _fetch_from_a_stalled_holder() as (manager, injector, calls):
+        stalled = time.monotonic()
+        while time.monotonic() - stalled < 3 * manager.liveness_deadline + 0.5:
+            manager.wait(timeout=0.1)
+            assert "fetcher-0" in manager.connected_workers()
+        assert manager.connected_workers() == ["fetcher-0"]  # the holder is lost
+        # The fetcher's warm instance serves on while its fetch hangs.
+        probe = FunctionCall("quick", "quick", 41)
+        started = time.monotonic()
+        manager.submit(probe)
+        manager.wait_all([probe], timeout=10)
+        assert probe.result == 42
+        assert time.monotonic() - started < 1.0
+        injector.resume_worker(0)
+        manager.wait_all(calls, timeout=90)
+        assert [c.exception for c in calls] == [None, None]
+        assert manager.stats["workers_lost"] == 1
+
+
+def test_a_dead_source_falls_back_to_the_manager_once():
+    """Regression: a fetch from a source that died mid-transfer failed,
+    the ``library`` frame behind it hit a cache miss, and the library
+    was marked broken — every call failed with ``CacheError`` although
+    the manager held the file.  Now the manager sends it instead."""
+    from repro.engine.faults import _process_tree
+
+    with _fetch_from_a_stalled_holder() as (manager, injector, calls):
+        time.sleep(0.3)  # let the fetcher connect and ask
+        sends = manager.stats["manager_sends"]
+        transfers = manager.stats["peer_transfers"]  # all of them the fetcher's
+        for pid in _process_tree(injector.factory.procs[0].pid):
+            os.kill(pid, signal.SIGKILL)
+        manager.wait_all(calls, timeout=90)
+        assert [c.exception for c in calls] == [None, None]
+        assert {c.worker for c in calls} == {"fetcher-0"}
+        # Each failed fetch fell back to exactly one manager send.
+        assert manager.stats["manager_sends"] - sends == transfers >= 1
+        assert manager.stats["peer_transfers"] == transfers
+        after = FunctionCall("peered", "peered_fn", 0)
+        manager.submit(after)
+        manager.wait_all([after], timeout=60)
+        assert after.result == 200_000  # the library is not marked broken
 
 
 # ------------------------------------------------------------- status reports

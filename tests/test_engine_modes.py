@@ -1,12 +1,17 @@
 """Engine behaviour under non-default configurations: manager-only
 transfers, bounded worker caches, multi-function libraries."""
 
+import os
+import socket
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.distribute.topology import TransferMode
 from repro.engine import FunctionCall, LocalWorkerFactory, Manager, PythonTask, TaskState
+from repro.engine.messages import Connection
 from repro.errors import TaskFailure
 
 
@@ -39,6 +44,104 @@ def test_manager_only_transfer_mode():
             assert all(t.result == 50_000 for t in tasks)
             assert manager.stats.get("peer_transfers", 0) == 0
             assert manager.stats["manager_sends"] >= 2  # one copy per worker
+
+
+def _fake_worker(manager, name, cores, port=0):
+    """A raw socket registered as a worker: it fetches nothing and runs
+    nothing, so a test reads exactly what the manager sends it."""
+    conn = Connection(socket.create_connection(("127.0.0.1", manager.port)), name)
+    conn.send({
+        "type": "register", "worker": name, "resources": {"cores": cores},
+        "transfer_host": "127.0.0.1", "transfer_port": port,
+    })
+    manager.wait_for_workers(len(manager.connected_workers()) + 1, timeout=10)
+    assert conn.receive(timeout=10)[0]["type"] == "welcome"
+    return conn
+
+
+def _next_frame(manager, conn):
+    manager.wait(timeout=0.2)  # let the manager send
+    return conn.receive(timeout=5)[0]
+
+
+def test_a_task_behind_a_peer_fetch_is_held_and_falls_back_once():
+    """A task frame waits while its input is fetched from a peer; a
+    cancel meanwhile fails it at once and it is never sent; a failed
+    fetch falls back to one ``put_file``, with the held frame behind it."""
+    with Manager() as manager:
+        blob = manager.declare_buffer(b"x" * 1000, "blob.bin")
+        holder = _fake_worker(manager, "holder", 0, 7001)
+        holder.send({"type": "cache_update", "hash": blob.hash, "present": True})
+        fetcher = _fake_worker(manager, "fetcher", 1)
+        first, second = PythonTask(fn_one, 1), PythonTask(fn_one, 2)
+        for task in (first, second):
+            task.add_input(blob)
+        manager.submit(first)
+        transfer = _next_frame(manager, fetcher)
+        assert (transfer["type"], transfer["port"]) == ("transfer", 7001)
+        assert manager.cancel(first)
+        assert manager.wait_all([first], timeout=5) == [first]
+        assert "cancelled" in str(first.exception)
+        manager.submit(second)  # needs the same file: no second transfer
+        manager.wait(timeout=0.2)
+        fetcher.send({
+            "type": "cache_update", "hash": blob.hash, "present": False,
+            "error": "ProtocolError: peer gone",
+        })
+        put = _next_frame(manager, fetcher)
+        assert (put["type"], put["hash"]) == ("put_file", blob.hash)
+        task = _next_frame(manager, fetcher)
+        assert (task["type"], task["task_id"]) == ("task", second.id)
+        assert manager.stats["peer_transfers"] == manager.stats["manager_sends"] == 1
+        fetcher.send({"type": "cache_update", "hash": blob.hash, "present": True})
+        manager.wait(timeout=0.3)
+        with pytest.raises(TimeoutError):  # the cancelled task never follows
+            fetcher.receive(timeout=0.3)
+
+
+# Three zero-core workers confirm one file, worker-c first; a fourth,
+# the only one with a core, gets a task that needs the file.  Prints the
+# port its ``transfer`` frame names.
+_SOURCE_CHOICE = """
+from repro.engine import Manager, PythonTask
+from tests.test_engine_modes import _fake_worker, fn_one
+
+with Manager() as manager:
+    blob = manager.declare_buffer(b"x" * 1000, "blob.bin")
+    names = ["worker-c", "worker-a", "worker-b"]
+    holders = [_fake_worker(manager, name, 0, 7001 + i) for i, name in enumerate(names)]
+    for i, holder in enumerate(holders):
+        holder.send({"type": "cache_update", "hash": blob.hash, "present": True})
+        while len(manager._file_holders.get(blob.hash, ())) <= i:
+            manager.wait(timeout=0.05)
+    fetcher = _fake_worker(manager, "worker-d", 1)
+    task = PythonTask(fn_one, 1)
+    task.add_input(blob)
+    manager.submit(task)
+    manager.wait(timeout=0.5)
+    while True:
+        frame = fetcher.receive(timeout=10)[0]
+        if frame["type"] == "transfer":
+            print(frame["port"])
+            break
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_transfer_source_is_the_earliest_holder_under_any_hash_seed(seed):
+    """The peer source is the first live worker to have confirmed the
+    file, not whichever a set's hash order yields first."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _SOURCE_CHOICE],
+        cwd=root,
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["7001"]  # worker-c's
 
 
 def test_multi_function_library():

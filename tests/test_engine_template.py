@@ -312,6 +312,20 @@ def test_worker_that_dies_at_start_reports_its_stderr(tmp_path):
         assert "cache" in str(failure.value)
 
 
+def test_factory_stops_waiting_once_every_worker_has_exited(tmp_path):
+    """Regression: the factory waited out its whole connect timeout (30 s
+    by default) for workers that had all died at start."""
+    (tmp_path / "worker-0").mkdir()
+    (tmp_path / "worker-0" / "cache").write_text("a file where the cache goes")
+    with Manager() as manager:
+        factory = LocalWorkerFactory(manager, count=1, cores=1, workdir=str(tmp_path))
+        started = time.monotonic()
+        with pytest.raises(WorkerError, match="workers failed to connect") as failure:
+            factory.start()
+        assert time.monotonic() - started < 5.0
+        assert "Traceback" in str(failure.value)
+
+
 def test_failed_setup_reports_the_stderr_tail():
     with Manager() as manager:
         manager.install_library(
