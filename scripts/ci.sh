@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate.  Stages, in order:
 #
+#   0. grep guards and the reach check (scripts/reach.py)
 #   1. tier-1 test suite
 #   2. fault-injection suite
 #   3. chaos smoke
@@ -79,6 +80,11 @@ fi
 # One perf harness: no committed baseline files, no regression floors.
 # (Last letters bracketed so the pattern cannot match this script.)
 if grep -rnIE --exclude-dir=out 'floor_rati[o]|REPRO_WRITE_BASELIN[E]' src scripts tests examples benchmarks || compgen -G 'BENCH_*.json'; then echo "FAIL: the baseline-file perf harness is back; benchmarks/ladder/run.py is the one benchmark"; exit 1; fi
+
+# Keep only what a product path runs: every module under src/repro and
+# every top-level function or class in it is reached from a product root
+# (scripts/reach.py: a static import walk, no processes).
+if ! python3 scripts/reach.py; then echo "FAIL: code no product root reaches is back"; exit 1; fi
 
 echo "== tier-1 test suite (cap ${TIER1_CAP}s) =="
 timeout --signal=TERM --kill-after=30 "$TIER1_CAP" python -m pytest -x -q

@@ -18,7 +18,6 @@ Offline substitutes, all implemented from scratch:
 from repro.apps.examol.molecules import (
     Molecule,
     fingerprint,
-    generate_molecules,
     molecule_by_id,
 )
 from repro.apps.examol.simulate import pm7_ionization_potential
@@ -27,7 +26,6 @@ from repro.apps.examol.thinker import ActiveLearningResult, design_molecules
 
 __all__ = [
     "Molecule",
-    "generate_molecules",
     "molecule_by_id",
     "fingerprint",
     "pm7_ionization_potential",

@@ -10,7 +10,6 @@ like SMILES strings in the real ExaMol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -62,13 +61,6 @@ def molecule_by_id(mol_id: int, *, seed: int | str = 0) -> Molecule:
         rings=int(rng.integers(0, 4)),
         chain_length=int(rng.integers(1, carbons + 1)),
     )
-
-
-def generate_molecules(count: int, *, seed: int | str = 0) -> List[Molecule]:
-    """Deterministically generate a candidate pool of ``count`` molecules."""
-    if count < 1:
-        raise ReproError("count must be positive")
-    return [molecule_by_id(mol_id, seed=seed) for mol_id in range(count)]
 
 
 def fingerprint(molecule: Molecule) -> np.ndarray:

@@ -567,6 +567,8 @@ def table5_overhead_breakdown(synthetic_modules: int = 24) -> TableResult:
                         )
 
                     # ---- L3: library deploy, then a warm invocation.
+                    # Its transfer cell counts only what L3 itself sends.
+                    transfer_before = manager.stats.get("transfer_seconds", 0.0)
                     binding = declare_data(weights, remote_name=WEIGHTS_FILE)
                     library = manager.create_library_from_functions(
                         "lnni5",
@@ -583,7 +585,8 @@ def table5_overhead_breakdown(synthetic_modules: int = 24) -> TableResult:
                     deploys = manager.library_deploy_times("lnni5")
                     deploy = deploys[0] if deploys else {}
                     lib_row = {
-                        "transfer": manager.stats.get("transfer_seconds", 0.0),
+                        "transfer": manager.stats.get("transfer_seconds", 0.0)
+                        - transfer_before,
                         "worker": deploy.get("worker_overhead", 0.0),
                         "invoc": deploy.get("library_overhead", 0.0),
                         "exec": float("nan"),

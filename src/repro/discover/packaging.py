@@ -107,11 +107,3 @@ def unpack_environment(package_path: str, dest_dir: str) -> Dict[str, object]:
             with open(target, "wb") as out:
                 out.write(src.read())
     return manifest
-
-
-def package_size(package_path: str) -> int:
-    """On-disk size of a package in bytes (for transfer cost accounting)."""
-    try:
-        return os.stat(package_path).st_size
-    except OSError as exc:
-        raise PackagingError(f"cannot stat package {package_path}: {exc}") from exc

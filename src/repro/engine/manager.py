@@ -122,8 +122,9 @@ class _WorkerLink:
     transfer_host: str = ""
     transfer_port: int = 0
     cached: Set[str] = field(default_factory=set)       # confirmed holdings
-    assumed: Set[str] = field(default_factory=set)      # put_file sent, unconfirmed
-    fetching: Set[str] = field(default_factory=set)     # peer transfer under way
+    # In flight, digest -> monotonic send stamp, until its cache_update:
+    assumed: Dict[str, float] = field(default_factory=dict)   # put_file sent
+    fetching: Dict[str, float] = field(default_factory=dict)  # peer transfer
     status: Dict[str, Any] = field(default_factory=dict)  # last status report
     last_seen: float = 0.0  # monotonic stamp of the last received frame
     shm: bool = False  # worker shares the manager's shared-memory domain
@@ -158,7 +159,9 @@ class Manager:
     transfer_mode:
         How context files reach workers: ``MANAGER_ONLY`` sends every
         copy from the manager; ``PEER`` redirects workers that already
-        hold a file to serve their peers.
+        hold a file to serve their peers.  ``CLUSTER_AWARE`` (Fig 3c) is
+        only planned and simulated (:mod:`repro.distribute`); the engine
+        rejects it.
     liveness_deadline:
         Seconds of silence after which a connected worker is declared
         lost even though its socket is still open (a SIGSTOP'd or hung
@@ -208,6 +211,11 @@ class Manager:
         status_port: int | None = None,
         policy: "str | SchedulingPolicy | None" = None,
     ):
+        if transfer_mode not in (TransferMode.MANAGER_ONLY, TransferMode.PEER):
+            raise EngineError(
+                f"transfer_mode {transfer_mode!r} is not run by the engine; "
+                "use TransferMode.MANAGER_ONLY or TransferMode.PEER"
+            )
         self.name = name
         self.transfer_mode = transfer_mode
         self.enable_library_eviction = enable_library_eviction
@@ -501,9 +509,6 @@ class Manager:
         self.stats["submitted"] += 1
         if isinstance(task, FunctionCall):
             self.policy.note_arrival(task.library_name, now, tenant=task.tenant)
-            # The txnlog's task_submit stream doubles as the arrival
-            # history the prewarm predictor can be seeded from offline
-            # (repro.obs.arrivals), so invocations carry their context.
             self.perflog.transition(
                 "task_submit",
                 task=task.id,
@@ -918,16 +923,13 @@ class Manager:
             while self.state.dirty_libraries:
                 # Policy-ordered drain: the policy may pick which dirty
                 # queue to serve (fair queueing picks the tenant with the
-                # smallest virtual finish) and may cap the visit with a
-                # quantum; a queue stopped by its quantum re-marks itself
-                # dirty, so the loop round-robins instead of draining one
-                # tenant to exhaustion.  Each re-mark implies >=1
-                # dispatch, so the loop still terminates.
-                name = self.policy.next_dirty(self.state)
-                if name is None or name not in self.state.dirty_libraries:
-                    name = self.state.dirty_libraries.pop()
-                else:
-                    self.state.dirty_libraries.discard(name)
+                # smallest virtual finish; otherwise the oldest mark goes
+                # first) and may cap the visit with a quantum; a queue
+                # stopped by its quantum re-marks itself dirty, so the
+                # loop round-robins instead of draining one tenant to
+                # exhaustion.  Each re-mark implies >=1 dispatch, so the
+                # loop still terminates.
+                name = self.state.take_dirty_library(self.policy)
                 served = self._dispatch_library_queue(
                     name, limit=self.policy.quantum(name)
                 )
@@ -979,7 +981,7 @@ class Manager:
         deferred: List[FunctionCall] = []  # backing off; restored at the end
         while queue:
             if limit is not None and dispatched >= limit:
-                self.state.dirty_libraries.add(library_name)
+                self.state.mark_dirty(library_name)
                 break
             head = queue[0]
             if head.state is not TaskState.SUBMITTED:
@@ -1058,7 +1060,6 @@ class Manager:
         ``cache_update`` instead (``_hold_or_send``, ``_settle_held``)."""
         if f.hash in link.cached or f.hash in link.assumed or f.hash in link.fetching:
             return
-        started = time.monotonic()
         holder = None
         if peer and f.peer_transfer and self.transfer_mode is not TransferMode.MANAGER_ONLY:
             for wname in self._file_holders.get(f.hash, ()):
@@ -1076,29 +1077,17 @@ class Manager:
                     "size": f.size,
                 }
             )
-            link.fetching.add(f.hash)
+            link.fetching[f.hash] = time.monotonic()
             self.stats["peer_transfers"] += 1
-            route = {"mode": "peer", "source": holder.name}
         else:
             data = self.store.read(f.hash)
             link.conn.send_buffered(
                 {"type": "put_file", "hash": f.hash, "name": f.remote_name, "size": f.size},
                 data,
             )
-            link.assumed.add(f.hash)
+            link.assumed[f.hash] = time.monotonic()
             self.stats["manager_sends"] += 1
             self.stats["bytes_sent"] += len(data)
-            route = {"mode": "manager"}
-        elapsed = time.monotonic() - started
-        self.stats["transfer_seconds"] += elapsed
-        self.tracer.record(
-            "transfer_done",
-            hash=f.hash,
-            bytes=f.size,
-            worker=link.name,
-            seconds=elapsed,
-            **route,
-        )
 
     def _hold_or_send(
         self, link: _WorkerLink, key: tuple, files: List[VineFile], frame: tuple
@@ -1580,18 +1569,29 @@ class Manager:
 
     def _on_cache_update(self, link: _WorkerLink, message: Dict[str, Any]) -> None:
         """A file confirmed present or reported absent; a failed peer fetch
-        falls back, once, to a ``put_file`` from the manager's store."""
+        falls back, once, to a ``put_file`` from the manager's store.  A
+        transfer is timed from its send to this confirmation."""
         digest = message["hash"]
-        fetched = digest in link.fetching
-        link.fetching.discard(digest)
-        link.assumed.discard(digest)
+        fetched = link.fetching.pop(digest, None)
+        sent = link.assumed.pop(digest, fetched)
+        if sent is not None:
+            elapsed = time.monotonic() - sent
+            self.stats["transfer_seconds"] += elapsed
+            self.tracer.record(
+                "transfer_done",
+                hash=digest,
+                worker=link.name,
+                seconds=elapsed,
+                mode="manager" if fetched is None else "peer",
+                present=bool(message.get("present")),
+            )
         if message.get("present"):
             link.cached.add(digest)
             self._file_holders.setdefault(digest, {})[link.name] = None
         else:
             link.cached.discard(digest)
             self._drop_holder(digest, link.name)
-            if fetched:
+            if fetched is not None:
                 self._ensure_file(link, self.store.get(digest), peer=False)
         if link.held:
             self._settle_held(link, digest, message)
@@ -1615,7 +1615,7 @@ class Manager:
             elif not self._held_bound(link, key):
                 continue  # settled meanwhile: its task or instance failed or left
             elif key[0] != "invocation":
-                if needs & link.fetching:
+                if needs & link.fetching.keys():
                     link.held.append(entry)
                 else:
                     link.conn.send_buffered(*frame)
@@ -1779,7 +1779,7 @@ class Manager:
                 if record is not None:
                     self.placement.finish_invocation(record.instance)
                     # The freed slot only helps this library...
-                    self.state.dirty_libraries.add(task.library_name)
+                    self.state.mark_dirty(task.library_name)
                     # ...but a now-idle instance is an eviction candidate
                     # for every other blocked queue.
                     if record.instance.used_slots == 0:

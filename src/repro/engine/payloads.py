@@ -216,10 +216,6 @@ def make_descriptor(name: str, digest: str, size: int) -> Dict[str, Any]:
     return {"shm": name, "hash": digest, "size": size}
 
 
-def is_descriptor(obj: Any) -> bool:
-    return isinstance(obj, dict) and "shm" in obj and "size" in obj
-
-
 class MappedPayload:
     """A read-only view of a payload attached from shared memory.
 

@@ -41,8 +41,7 @@ Policies
 
 ``prewarm``
     Sticky, plus predictive pre-warm/keep-alive driven by the arrival
-    history (the perflog's ``task_submit`` stream feeds the same
-    estimator offline — :mod:`repro.obs.arrivals`).  A per-library EWMA
+    history of each library's submissions.  A per-library EWMA
     over inter-arrival gaps forecasts the next arrival; libraries with
     an imminent forecast are deferred as eviction victims, and libraries
     with no live instance are pre-staged ahead of the forecast arrival.
@@ -74,7 +73,7 @@ from __future__ import annotations
 import collections
 import math
 import os
-from typing import TYPE_CHECKING, Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import SchedulingError
 
@@ -93,9 +92,7 @@ class ArrivalHistory:
     One instance tracks every library's submission stream: ``record`` is
     O(1) per arrival, and the estimator answers "when is this key's next
     arrival due?" — the primitive both keep-alive deferral and
-    predictive pre-warming are built on.  The same estimator can be
-    seeded offline from a perflog transaction log via
-    :func:`repro.obs.arrivals.read_arrivals`.
+    predictive pre-warming are built on.
     """
 
     def __init__(self, alpha: float = 0.3, min_observations: int = 3) -> None:
@@ -117,12 +114,6 @@ class ArrivalHistory:
             )
         self._last[key] = now
         self._count[key] = self._count.get(key, 0) + 1
-
-    def seed(self, arrivals: Dict[str, List[float]]) -> None:
-        """Replay recorded arrival series (e.g. from a txnlog) in order."""
-        for key, stamps in arrivals.items():
-            for stamp in sorted(stamps):
-                self.record(key, stamp)
 
     def observations(self, key: str) -> int:
         return self._count.get(key, 0)
@@ -205,72 +196,6 @@ class WarmPoolPredictor:
 
     def forecast(self, key: str, now: float) -> float:
         return self.history.expected_arrivals(key, now, self.horizon)
-
-
-# --------------------------------------------------------------------------
-# Weighted fair queueing
-# --------------------------------------------------------------------------
-class WeightedFairQueue:
-    """Start-time fair queueing over tenants (SFQ, Goyal et al.).
-
-    Items are FIFO within a tenant; across tenants, service order
-    follows virtual finish tags ``start + cost/weight`` where ``start``
-    is ``max(virtual_time, tenant's last finish)``.  Backlogged tenants
-    therefore share service in proportion to their weights, an idle
-    tenant re-enters at the current virtual time (no banked credit), and
-    ``pop`` always returns work while any tenant is non-empty — the
-    work-conservation and intra-tenant ordering properties pinned by the
-    hypothesis suite in ``tests/test_engine_policies.py``.
-    """
-
-    def __init__(self) -> None:
-        self._queues: Dict[str, Deque[Tuple[float, float, Any]]] = {}
-        self._finish: Dict[str, float] = {}
-        self._vtime = 0.0
-        self._len = 0
-
-    def push(self, tenant: str, item: Any, *, weight: float = 1.0, cost: float = 1.0) -> None:
-        if weight <= 0.0:
-            raise SchedulingError("tenant weight must be positive")
-        if cost <= 0.0:
-            raise SchedulingError("item cost must be positive")
-        start = max(self._vtime, self._finish.get(tenant, 0.0))
-        finish = start + cost / weight
-        self._finish[tenant] = finish
-        self._queues.setdefault(tenant, collections.deque()).append(
-            (start, finish, item)
-        )
-        self._len += 1
-
-    def pop(self) -> Optional[Tuple[str, Any]]:
-        """Next ``(tenant, item)`` in fair order; ``None`` when empty."""
-        best: Optional[str] = None
-        best_tag: Tuple[float, str] = (math.inf, "")
-        for tenant, queue in self._queues.items():
-            if not queue:
-                continue
-            tag = (queue[0][1], tenant)  # finish tag; tenant name tie-break
-            if tag < best_tag:
-                best, best_tag = tenant, tag
-        if best is None:
-            return None
-        start, _finish, item = self._queues[best].popleft()
-        self._vtime = max(self._vtime, start)
-        self._len -= 1
-        return best, item
-
-    def pending(self, tenant: str) -> int:
-        queue = self._queues.get(tenant)
-        return len(queue) if queue else 0
-
-    def tenants(self) -> List[str]:
-        return [t for t, q in self._queues.items() if q]
-
-    def __len__(self) -> int:
-        return self._len
-
-    def empty(self) -> bool:
-        return self._len == 0
 
 
 # --------------------------------------------------------------------------

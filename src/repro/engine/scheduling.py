@@ -445,7 +445,10 @@ class ShardState:
     * ``pending_invocations`` — per-library deques of queued
       :class:`FunctionCall`\\ s (the indexed dispatch hot path).
     * ``dirty_libraries`` / ``tasks_dirty`` — the capacity-event wakeup
-      sets: a queue is only visited when marked dirty.
+      marks: a queue is only visited when marked dirty.  Library marks
+      are an insertion-ordered set (a dict of ``None``), drained oldest
+      mark first by :meth:`take_dirty_library`, so the drain order never
+      follows the hash seed.
     * ``running`` — task id → task, for everything dispatched.
     * ``invocation_instance`` — invocation task id → library instance id.
     * ``task_worker_key`` — plain-task id → worker name.
@@ -457,7 +460,7 @@ class ShardState:
         self.placement = Placement(tracer, policy=policy)
         self.ready_tasks: "Deque[PythonTask]" = collections.deque()
         self.pending_invocations: "Dict[str, Deque[FunctionCall]]" = {}
-        self.dirty_libraries: Set[str] = set()
+        self.dirty_libraries: Dict[str, None] = {}
         self.tasks_dirty = False
         self.running: "Dict[int, Task]" = {}
         self.invocation_instance: Dict[int, int] = {}
@@ -478,7 +481,7 @@ class ShardState:
                 task.library_name, collections.deque()
             )
             queue.appendleft(task) if front else queue.append(task)
-            self.dirty_libraries.add(task.library_name)
+            self.dirty_libraries[task.library_name] = None
         else:
             if front:
                 self.ready_tasks.appendleft(task)
@@ -505,13 +508,26 @@ class ShardState:
             return False
         return True
 
+    def mark_dirty(self, library_name: str) -> None:
+        """Mark one library queue for a visit; an existing mark keeps its place."""
+        self.dirty_libraries[library_name] = None
+
+    def take_dirty_library(self, policy: SchedulingPolicy) -> str:
+        """Unmark and return the next dirty library queue to drain: the
+        policy's pick, else the queue marked dirty longest ago."""
+        name = policy.next_dirty(self)
+        if name is None or name not in self.dirty_libraries:
+            name = next(iter(self.dirty_libraries))
+        del self.dirty_libraries[name]
+        return name
+
     def wake_all(self) -> None:
         """Mark every non-empty queue dirty after a capacity-change event."""
         if self.ready_tasks:
             self.tasks_dirty = True
         for name, queue in self.pending_invocations.items():
             if queue:
-                self.dirty_libraries.add(name)
+                self.dirty_libraries[name] = None
 
     # -- backoff ----------------------------------------------------------
     def note_backoff(self, not_before: float) -> None:

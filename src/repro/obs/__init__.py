@@ -1,6 +1,6 @@
 """Observability: structured tracing, metrics, live telemetry, and export.
 
-The package has six layers:
+The package has five layers:
 
 - :mod:`repro.obs.trace` -- per-process ``Tracer`` objects that record
   typed lifecycle events into a bounded in-memory ring buffer.  Worker
@@ -20,9 +20,6 @@ The package has six layers:
   ``trace_event`` export and the per-invocation cost report; the run
   report CLI (``python -m repro.obs report``) summarizing a perflog or
   federating a sharded run directory (``--shard-dir``).
-- :mod:`repro.obs.slo` -- declarative per-tenant SLO targets scored
-  from observed telemetry with multi-window burn rates, emitted as
-  ``slo.*`` metrics and a flat scorecard dict.
 
 Under a sharded router (PR 8+) the plane is cluster-wide: the router
 stamps every submission with a trace id that flows through shard,
@@ -39,7 +36,7 @@ are no-ops so instrumented hot paths stay cheap.
 from repro import lazy_exports
 
 # Resolved on first access: a library process needs ``trace`` alone, not
-# the status server, the report CLI or the SLO board.
+# the status server or the report CLI.
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
@@ -52,7 +49,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "read_jsonl",
             "tracing_enabled",
             "unparented_events",
-            "write_jsonl",
         ),
         "metrics": (
             "Counter",
@@ -69,7 +65,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "SAMPLE_FIELDS",
             "get_perflog",
             "make_sample",
-            "perflog_enabled",
             "read_perflog",
             "rss_bytes",
             "write_perflog",
@@ -81,19 +76,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "shard_status_port",
             "status_port",
         ),
-        "arrivals": ("arrival_rates", "read_arrivals"),
         "report": ("federated_report", "run_report", "sparkline"),
         "export": (
             "chrome_trace",
             "cost_components",
             "cost_report",
             "write_chrome_trace",
-        ),
-        "slo": (
-            "SLOBoard",
-            "SLOTarget",
-            "good_fraction_from_histogram",
-            "latency_events",
         ),
     },
 )

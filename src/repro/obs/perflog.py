@@ -245,10 +245,6 @@ class NullPerfLog:
 NULL_PERFLOG = NullPerfLog()
 
 
-def perflog_enabled() -> bool:
-    return bool(os.environ.get("REPRO_PERFLOG_DIR"))
-
-
 def perflog_interval(default: float = 0.25) -> float:
     raw = os.environ.get("REPRO_PERFLOG_INTERVAL", "")
     try:

@@ -359,14 +359,6 @@ def unparented_events(events: Iterable[TraceEvent]) -> List[TraceEvent]:
     ]
 
 
-def write_jsonl(events: Iterable[TraceEvent], path: str) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-    return path
-
-
 def read_jsonl(path: str) -> List[TraceEvent]:
     out: List[TraceEvent] = []
     with open(path, "r", encoding="utf-8") as fh:

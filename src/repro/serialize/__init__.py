@@ -9,8 +9,8 @@ manager↔worker↔library hop.
 
 from repro import lazy_exports
 
-# Resolved on first access: task runners and libraries need ``core`` and
-# ``source``, never the registry.
+# Resolved on first access: importing the package loads neither
+# submodule, so a child pays for cloudpickle only once it serializes.
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
@@ -26,6 +26,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "extract_source",
             "is_serializable_by_source",
         ),
-        "registry": ("SerializerRegistry", "get_default_registry"),
     },
 )

@@ -9,7 +9,6 @@ surfacing as an unpickling crash deep inside a library process.
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 from typing import Any
@@ -104,8 +103,3 @@ def deserialize_from_file(path: str | os.PathLike[str]) -> Any:
     :func:`serialize_to_file`."""
     with open(path, "rb") as fh:
         return deserialize(fh.read())
-
-
-def dumps_stream(obj: Any, stream: io.BufferedIOBase) -> None:
-    """Serialize ``obj`` onto an already-open binary stream."""
-    stream.write(serialize(obj))

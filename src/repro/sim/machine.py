@@ -98,10 +98,3 @@ def build_fleet(
         SimMachine(name=f"worker-{i:04d}", group=g.name, speed_factor=g.speed_factor)
         for i, g in enumerate(labels[:n_workers])
     ]
-
-
-def fleet_mean_speed(fleet: Sequence[SimMachine]) -> float:
-    """Mean service-time multiplier across a fleet (calibration aid)."""
-    if not fleet:
-        raise SimulationError("empty fleet")
-    return sum(m.speed_factor for m in fleet) / len(fleet)

@@ -1,4 +1,4 @@
-"""Shared utilities: hashing, timing, statistics, RNG, and logging helpers."""
+"""Shared utilities: hashing, statistics, RNG, and logging helpers."""
 
 from repro import lazy_exports
 
@@ -8,7 +8,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "hashing": ("content_hash", "hash_bytes", "hash_file", "short_hash"),
-        "timer": ("Stopwatch", "Timer"),
         "stats": ("Histogram", "SummaryStats", "summarize"),
         "rng": ("seeded_rng", "stable_seed"),
         "logging": ("get_logger",),

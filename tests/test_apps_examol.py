@@ -7,7 +7,6 @@ from repro.apps.examol.molecules import (
     FINGERPRINT_BITS,
     Molecule,
     fingerprint,
-    generate_molecules,
     molecule_by_id,
 )
 from repro.apps.examol.simulate import pm7_ionization_potential, simulate_molecule
@@ -28,20 +27,13 @@ def test_molecule_by_id_deterministic():
     assert molecule_by_id(7) != molecule_by_id(8)
 
 
-def test_molecule_by_id_matches_pool():
-    pool = generate_molecules(10)
-    assert pool[6] == molecule_by_id(6)
-
-
 def test_molecule_formula_and_heavy_atoms():
     m = Molecule(mol_id=0, composition=(6, 6, 0, 1, 0, 0), rings=1, chain_length=3)
     assert m.formula == "C6H6O"
     assert m.heavy_atoms == 7
 
 
-def test_generate_rejects_bad_counts():
-    with pytest.raises(ReproError):
-        generate_molecules(0)
+def test_molecule_by_id_rejects_negative_id():
     with pytest.raises(ReproError):
         molecule_by_id(-1)
 
@@ -65,7 +57,7 @@ def test_pm7_deterministic():
 
 
 def test_pm7_chemically_plausible_range():
-    ips = [pm7_ionization_potential(m) for m in generate_molecules(50)]
+    ips = [pm7_ionization_potential(m) for m in map(molecule_by_id, range(50))]
     assert all(4.5 <= ip <= 11.5 for ip in ips)
     assert np.std(ips) > 0.1  # molecules genuinely differ
 
@@ -89,7 +81,7 @@ def test_simulate_molecule_wrapper():
 
 # ------------------------------------------------------------------ surrogate
 def _dataset(n=80, seed=0):
-    mols = generate_molecules(n, seed=seed)
+    mols = [molecule_by_id(i, seed=seed) for i in range(n)]
     x = np.stack([fingerprint(m) for m in mols])
     y = np.array([pm7_ionization_potential(m) for m in mols])
     return x, y

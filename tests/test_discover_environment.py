@@ -1,13 +1,12 @@
 """Unit tests for environment resolution and packaging."""
 
-import os
 import sys
 import tarfile
 
 import pytest
 
 from repro.discover.environment import EnvironmentSpec, ModuleFile, resolve_environment
-from repro.discover.packaging import pack_environment, package_size, unpack_environment
+from repro.discover.packaging import pack_environment, unpack_environment
 from repro.errors import DiscoveryError, PackagingError
 
 
@@ -126,15 +125,6 @@ def test_unpack_garbage_rejected(tmp_path):
     bad.write_bytes(b"this is not a tarball")
     with pytest.raises(PackagingError):
         unpack_environment(str(bad), str(tmp_path / "out"))
-
-
-def test_package_size(fake_package, tmp_path):
-    spec = resolve_environment([fake_package])
-    pkg = tmp_path / "env.tar.gz"
-    pack_environment(spec, str(pkg))
-    assert package_size(str(pkg)) == os.stat(pkg).st_size
-    with pytest.raises(PackagingError):
-        package_size(str(tmp_path / "missing.tar.gz"))
 
 
 def test_pack_missing_source_raises(tmp_path):

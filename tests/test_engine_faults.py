@@ -341,6 +341,35 @@ def test_a_dead_source_falls_back_to_the_manager_once():
         assert after.result == 200_000  # the library is not marked broken
 
 
+def blob_size(name):
+    with open(name, "rb") as fh:
+        return len(fh.read())
+
+
+def test_transfer_clock_runs_until_the_worker_confirms_the_file():
+    """Regression: ``transfer_seconds`` timed only the store read and the
+    enqueue of a ``put_file`` (well under a millisecond, however long the
+    worker took).  It runs from the send to the worker's ``cache_update``,
+    so a worker stalled for half a second with the file on its way adds
+    ≥ 0.5 s."""
+    with Manager() as manager, LocalWorkerFactory(manager, count=1, cores=1) as factory:
+        injector = FaultInjector(manager, factory)
+        try:
+            injector.stall_worker(0)
+            task = PythonTask(blob_size, "blob.bin")
+            task.add_input(manager.declare_buffer(b"t" * 50_000, "blob.bin"))
+            manager.submit(task)
+            stalled = time.monotonic()
+            while time.monotonic() - stalled < 0.5:
+                manager.wait(timeout=0.05)
+            assert manager.stats["manager_sends"] == 1  # sent while stalled
+        finally:
+            injector.resume_worker(0)
+        manager.wait_all([task], timeout=60)
+        assert task.result == 50_000
+        assert manager.stats["transfer_seconds"] >= 0.5
+
+
 # ------------------------------------------------------------- status reports
 def test_worker_status_reports_arrive():
     with Manager() as manager, LocalWorkerFactory(manager, count=1, cores=2):

@@ -12,7 +12,7 @@ import pytest
 from repro.distribute.topology import TransferMode
 from repro.engine import FunctionCall, LocalWorkerFactory, Manager, PythonTask, TaskState
 from repro.engine.messages import Connection
-from repro.errors import TaskFailure
+from repro.errors import EngineError, TaskFailure
 
 
 def fn_one(x):
@@ -44,6 +44,13 @@ def test_manager_only_transfer_mode():
             assert all(t.result == 50_000 for t in tasks)
             assert manager.stats.get("peer_transfers", 0) == 0
             assert manager.stats["manager_sends"] >= 2  # one copy per worker
+
+
+def test_cluster_aware_transfer_mode_is_rejected():
+    """Fig 3c is planned and simulated only; the engine must not accept it
+    and quietly run peer transfers instead."""
+    with pytest.raises(EngineError, match="MANAGER_ONLY.*PEER"):
+        Manager(transfer_mode=TransferMode.CLUSTER_AWARE)
 
 
 def _fake_worker(manager, name, cores, port=0):

@@ -1,16 +1,12 @@
 """Property + unit tests for the serving-layer scheduling policies.
 
-Three properties from the issue are pinned with hypothesis:
+Two properties are pinned with hypothesis:
 
 (a) *blame-set exclusion* — sticky affinity routing can prefer whatever
     workers it likes, but the blame filter runs after the policy, so a
     retried task is never placed on a worker in its ``workers_lost_on``
     set (neither by ``place_task`` nor ``find_invocation_slot``);
-(b) *weighted fair queueing* — the WFQ is work-conserving (pop always
-    yields while any tenant has queued work), never reorders one
-    tenant's items, and backlogged tenants receive service within the
-    SFQ fairness bound of their weight ratio;
-(c) *reactive rules* — under the default policy every placement
+(b) *reactive rules* — under the default policy every placement
     decision on any operation sequence is the paper's: ring-walk first
     fit, the instance that has had a free slot longest, first idle
     instance in table order.
@@ -29,7 +25,6 @@ from repro.engine.policies import (
     PrewarmPolicy,
     SchedulingPolicy,
     StickyPolicy,
-    WeightedFairQueue,
     resolve_policy,
 )
 from repro.engine.resources import Resources
@@ -104,95 +99,7 @@ def test_sticky_blame_set_never_selected(nworkers, blame_idx, served, affinity):
 
 
 # =======================================================================
-# (b) weighted fair queueing
-# =======================================================================
-tenants = st.sampled_from(["a", "b", "c"])
-
-
-@settings(deadline=None, max_examples=80)
-@given(
-    pushes=st.lists(
-        st.tuples(tenants, st.integers(1, 3)), max_size=60
-    )
-)
-def test_wfq_work_conserving_and_fifo_within_tenant(pushes):
-    q = WeightedFairQueue()
-    expected = collections.defaultdict(list)
-    for i, (tenant, cost) in enumerate(pushes):
-        q.push(tenant, i, cost=float(cost))
-        expected[tenant].append(i)
-    popped = []
-    while len(q):
-        got = q.pop()
-        assert got is not None, "pop() returned None while work was queued"
-        popped.append(got)
-    assert q.pop() is None
-    assert len(popped) == len(pushes)  # work conservation: nothing lost
-    per_tenant = collections.defaultdict(list)
-    for tenant, item in popped:
-        per_tenant[tenant].append(item)
-    assert dict(per_tenant) == dict(expected)  # FIFO within each tenant
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    ops=st.lists(
-        st.one_of(st.tuples(st.just("push"), tenants), st.tuples(st.just("pop"))),
-        max_size=80,
-    )
-)
-def test_wfq_pop_yields_iff_nonempty(ops):
-    q = WeightedFairQueue()
-    model = 0
-    for op in ops:
-        if op[0] == "push":
-            q.push(op[1], object())
-            model += 1
-        else:
-            got = q.pop()
-            if model:
-                assert got is not None
-                model -= 1
-            else:
-                assert got is None
-        assert len(q) == model
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    wa=st.floats(0.5, 8.0, allow_nan=False),
-    wb=st.floats(0.5, 8.0, allow_nan=False),
-)
-def test_wfq_backlogged_service_tracks_weights(wa, wb):
-    """SFQ fairness: while both tenants stay backlogged, normalized
-    service difference |S_a/w_a - S_b/w_b| is bounded by one maximal
-    request per tenant (Goyal et al.)."""
-    q = WeightedFairQueue()
-    n = 30
-    for i in range(n):
-        q.push("a", i, weight=wa)
-        q.push("b", i, weight=wb)
-    ca = cb = 0
-    for _ in range(2 * n):
-        tenant, _item = q.pop()
-        if tenant == "a":
-            ca += 1
-        else:
-            cb += 1
-        if ca < n and cb < n:  # both still backlogged
-            assert abs(ca / wa - cb / wb) <= 1.0 / wa + 1.0 / wb + 1e-9
-
-
-def test_wfq_rejects_nonpositive_weight_and_cost():
-    q = WeightedFairQueue()
-    with pytest.raises(SchedulingError):
-        q.push("t", 1, weight=0.0)
-    with pytest.raises(SchedulingError):
-        q.push("t", 1, cost=-1.0)
-
-
-# =======================================================================
-# (c) the default policy makes the paper's decisions
+# (b) the default policy makes the paper's decisions
 # =======================================================================
 op_strategy = st.lists(
     st.one_of(
@@ -419,7 +326,7 @@ def _queued_state(**queues):
     for name, depth in queues.items():
         state.pending_invocations[name] = collections.deque(range(depth))
         if depth:
-            state.dirty_libraries.add(name)
+            state.mark_dirty(name)
     return state
 
 
@@ -497,9 +404,8 @@ def _nap(x, seconds=0.0):
 class _ArrivalOrder(SchedulingPolicy):
     """The paper's placement rules with queues drained oldest-head first.
 
-    The control arm for the fair test.  ``reactive`` itself cannot serve:
-    it drains dirty queues in ``set.pop()`` order, so whether its mice
-    land before or after the hog depends on the process's hash seed.
+    The control arm for the fair test: whichever queue holds the oldest
+    queued call is served first, so the hog's burst goes before the mice.
     """
 
     name = "arrival-order"

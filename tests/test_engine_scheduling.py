@@ -348,8 +348,54 @@ def test_shard_state_wake_all_marks_only_nonempty_queues():
     state.dirty_libraries.clear()
     state.tasks_dirty = False
     state.wake_all()
-    assert state.dirty_libraries == {"libA"}
+    assert list(state.dirty_libraries) == ["libA"]
     assert not state.tasks_dirty
+
+
+# One submission sequence, drained in a child interpreter: enqueue calls,
+# re-mark one queue the way a finished call does, drain every mark.
+_DRAIN_PROBE = """
+import json, sys
+from repro.engine.policies import SchedulingPolicy
+from repro.engine.scheduling import ShardState
+from repro.engine.task import FunctionCall
+
+state = ShardState()
+for name in sys.argv[1:]:
+    state.enqueue(FunctionCall(name, "f", 0))
+state.mark_dirty(sys.argv[1])
+policy = SchedulingPolicy()
+order = []
+while state.dirty_libraries:
+    order.append(state.take_dirty_library(policy))
+print(json.dumps(order))
+"""
+
+
+def test_dirty_drain_order_is_submission_order_under_any_hash_seed():
+    """Drained as a ``set``, these six names come out in different
+    orders under ``PYTHONHASHSEED`` 0 and 1; the drain must not."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    submitted = ["zeta", "alpha", "zeta", "mike", "bravo", "kilo", "alpha", "echo"]
+    orders = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", _DRAIN_PROBE, *submitted],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        orders.append(json.loads(done.stdout))
+    assert orders[0] == orders[1] == ["zeta", "alpha", "mike", "bravo", "kilo", "echo"]
 
 
 def test_shard_state_backoff_gate():

@@ -1,8 +1,7 @@
 """Arrival-history edge cases: the estimator the prewarm predictor trusts.
 
 The EWMA arrival estimator (:class:`repro.engine.policies.ArrivalHistory`)
-and its offline txnlog reader (:mod:`repro.obs.arrivals`) feed keep-alive
-deferral and predictive pre-warming; a wrong answer here pins resources
+feeds keep-alive deferral and predictive pre-warming; a wrong answer here pins resources
 or cold-starts tenants.  These tests pin the degenerate inputs the happy
 path never exercises: empty histories, a single sample (one gap proves
 nothing), wall clocks that step backwards, and forecast saturation for
@@ -14,8 +13,6 @@ import math
 import pytest
 
 from repro.engine.policies import ArrivalHistory, SchedulingError
-from repro.obs.arrivals import arrival_rates, read_arrivals
-from repro.obs.perflog import write_perflog
 
 
 # ----------------------------------------------------------- empty history
@@ -116,47 +113,3 @@ def test_expected_arrivals_floors_at_one_when_imminent():
     # A longer horizon scales linearly once past the floor.
     expected = h.expected_arrivals("lib", now=121.0, horizon=40.0)
     assert expected == pytest.approx(4.0)
-
-
-# ---------------------------------------------------------- txnlog readers
-def test_read_arrivals_skips_rows_without_library_or_ts(tmp_path):
-    path = str(tmp_path / "txnlog-manager.jsonl")
-    write_perflog(
-        path,
-        [
-            {"event": "task_submit", "library": "a", "ts": 1.0},
-            {"event": "task_submit", "library": "a", "ts": 3.0},
-            {"event": "task_submit", "ts": 4.0},  # plain task: no library
-            {"event": "task_submit", "library": "b", "ts": "bad"},
-            {"event": "task_done", "library": "a", "ts": 5.0},
-        ],
-    )
-    arrivals = read_arrivals(path)
-    assert arrivals == {"a": [1.0, 3.0]}
-    rates = arrival_rates(path)
-    assert rates["a"] == pytest.approx(0.5)
-
-
-def test_arrival_rates_degenerate_series(tmp_path):
-    path = str(tmp_path / "txnlog-manager.jsonl")
-    write_perflog(
-        path,
-        [
-            {"event": "task_submit", "library": "single", "ts": 1.0},
-            {"event": "task_submit", "library": "burst", "ts": 2.0},
-            {"event": "task_submit", "library": "burst", "ts": 2.0},
-        ],
-    )
-    rates = arrival_rates(path)
-    # One arrival (no span) and a zero-width burst both answer 0.0
-    # instead of dividing by zero.
-    assert rates["single"] == 0.0
-    assert rates["burst"] == 0.0
-
-
-def test_seed_replays_out_of_order_stamps_sorted():
-    h = ArrivalHistory()
-    h.seed({"lib": [105.0, 100.0, 102.5]})
-    assert h.observations("lib") == 3
-    assert h.interarrival("lib") == pytest.approx(0.3 * 2.5 + 0.7 * 2.5)
-    assert h.predict_next("lib") == pytest.approx(105.0 + 2.5)

@@ -28,7 +28,6 @@ from repro.obs.trace import (
     Tracer,
     merge_task_timeline,
     read_jsonl,
-    write_jsonl,
 )
 
 # ---------------------------------------------------------------- round trips
@@ -60,10 +59,9 @@ def test_every_event_type_roundtrips_via_dict():
 def test_every_event_type_roundtrips_via_jsonl(tmp_path):
     tracer = Tracer("worker.w0")
     _one_of_each(tracer)
-    path = str(tmp_path / "events.jsonl")
-    write_jsonl(tracer.events(), path)
-    back = read_jsonl(path)
-    assert back == tracer.events()
+    events = tracer.events()
+    path = tracer.flush(str(tmp_path / "events.jsonl"))
+    assert read_jsonl(path) == events
 
 
 def test_flush_appends_jsonl_and_empties_ring(tmp_path):

@@ -14,7 +14,6 @@ if a refactor moves them, the predictor's behavior changed.
 import pytest
 
 from repro.engine.policies import ArrivalHistory, WarmPoolPredictor
-from repro.obs.arrivals import read_arrivals
 from repro.util.rng import seeded_rng
 
 
@@ -69,7 +68,8 @@ def test_poisson_forecast_values_track_rate():
         t += float(gap)
         stamps.append(t)
     history = ArrivalHistory()
-    history.seed({"k": stamps})
+    for stamp in stamps:
+        history.record("k", stamp)
     assert history.rate("k") == pytest.approx(4.0, rel=0.5)
     nxt = history.predict_next("k")
     assert stamps[-1] < nxt <= stamps[-1] + 2.0
@@ -96,7 +96,8 @@ def test_diurnal_recall_within_day_and_no_night_pinning():
     assert recall >= 0.70
 
     history = ArrivalHistory()
-    history.seed({"k": stamps[:60]})  # exactly one day
+    for stamp in stamps[:60]:  # exactly one day
+        history.record("k", stamp)
     day_end = stamps[59]
     # Mid-day: next arrival is forecast imminently.
     assert history.imminent("k", day_end, 1.0)
@@ -137,28 +138,3 @@ def test_burst_keepalive_decision_flips_with_the_burst():
     assert predictor.should_keep_alive("k", end + 0.05)
     # Four typical gaps of silence: stale, release the instance.
     assert not predictor.should_keep_alive("k", end + 5.0)
-
-
-# ------------------------------------------------------- txnlog round-trip
-def test_predictor_seeds_from_txnlog(tmp_path):
-    import json
-
-    rows = [
-        {"ts": 10.0 + 0.5 * i, "event": "task_submit", "library": "libA"}
-        for i in range(8)
-    ]
-    rows.append({"ts": 11.0, "event": "task_submit", "library": "libB"})
-    rows.append({"ts": 12.0, "event": "task_dispatch", "library": "libA"})
-    path = tmp_path / "txnlog-manager.jsonl"
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-
-    arrivals = read_arrivals(str(path))
-    assert set(arrivals) == {"libA", "libB"}
-    assert len(arrivals["libA"]) == 8
-
-    history = ArrivalHistory()
-    history.seed(arrivals)
-    assert history.interarrival("libA") == pytest.approx(0.5)
-    last = arrivals["libA"][-1]
-    assert history.imminent("libA", last, 1.0)
-    assert not history.imminent("libB", last, 1.0)  # one arrival only

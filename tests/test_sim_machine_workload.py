@@ -8,7 +8,6 @@ from repro.sim.machine import (
     PAPER_CLUSTER,
     REFERENCE_GFLOPS,
     build_fleet,
-    fleet_mean_speed,
 )
 from repro.sim.workload import (
     EXAMOL_TASK_TIMES,
@@ -55,14 +54,6 @@ def test_build_fleet_errors():
         build_fleet(0)
     with pytest.raises(SimulationError):
         build_fleet(10, exclude_groups=tuple(g.name for g in PAPER_CLUSTER))
-
-
-def test_fleet_mean_speed():
-    fleet = build_fleet(201)
-    mean = fleet_mean_speed(fleet)
-    assert 0.8 < mean < 1.4  # group mix averages near the reference
-    with pytest.raises(SimulationError):
-        fleet_mean_speed([])
 
 
 @settings(deadline=None, max_examples=20)

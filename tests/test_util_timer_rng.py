@@ -1,52 +1,6 @@
-"""Unit tests for timing helpers and deterministic RNG streams."""
-
-import time
-
-import pytest
+"""Unit tests for deterministic RNG streams."""
 
 from repro.util.rng import seeded_rng, stable_seed
-from repro.util.timer import Stopwatch, Timer
-
-
-def test_timer_measures_elapsed():
-    with Timer() as t:
-        time.sleep(0.01)
-    assert t.elapsed >= 0.009
-
-
-def test_stopwatch_accumulates_named_spans():
-    w = Stopwatch()
-    with w.measure("a"):
-        time.sleep(0.005)
-    with w.measure("a"):
-        time.sleep(0.005)
-    with w.measure("b"):
-        pass
-    assert w.spans["a"] >= 0.009
-    assert "b" in w.spans
-    assert w.total() == pytest.approx(sum(w.spans.values()))
-
-
-def test_stopwatch_double_start_rejected():
-    w = Stopwatch()
-    w.start("x")
-    with pytest.raises(ValueError):
-        w.start("x")
-    w.stop("x")
-
-
-def test_stopwatch_stop_unstarted_rejected():
-    with pytest.raises(ValueError):
-        Stopwatch().stop("nope")
-
-
-def test_stopwatch_as_dict_copies():
-    w = Stopwatch()
-    with w.measure("a"):
-        pass
-    d = w.as_dict()
-    d["a"] = -1
-    assert w.spans["a"] >= 0
 
 
 def test_stable_seed_deterministic():
