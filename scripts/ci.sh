@@ -8,8 +8,8 @@
 #   4. paper-experiment smoke (every benchmarks/bench_*.py at <=200
 #      invocations)
 #   5. benchmark-ladder tests
-#   6. two short ladder runs (warm_bulk, payload_rw) — crash checks,
-#      compared against nothing
+#   6. three short ladder runs (warm_bulk, payload_rw, open_poisson) —
+#      crash checks, compared against nothing
 #   7. leaked-shm check
 #   8. source tree untouched
 #
@@ -118,9 +118,10 @@ timeout --signal=TERM --kill-after=30 "$SMOKE_CAP" \
 # A 3 s window on a shared host is a crash check, not a measurement:
 # the numbers it prints are compared against nothing.  payload_rw runs
 # the shared-memory argument and result lifecycle end to end, ahead of
-# the leaked-shm check below.
+# the leaked-shm check below; open_poisson waits in sub-millisecond
+# steps, the loop's timerfd path.
 echo "== benchmark-ladder smoke (cap ${BENCH_CAP}s per run) =="
-for workload in warm_bulk payload_rw; do
+for workload in warm_bulk payload_rw open_poisson; do
     ladder_out="$(timeout --signal=TERM --kill-after=30 "$BENCH_CAP" \
         python3 benchmarks/ladder/run.py --workload "$workload" --seed 0 --seconds 3 --trace 0)"
     printf '%s\n' "$ladder_out" | tail -n 1 | WORKLOAD="$workload" python3 -c '

@@ -1,10 +1,13 @@
 """The engine's one event loop: manager, router, worker, shard, the
 library template and every library instance drive it.
 
-It owns the process's only selector and three rules (DESIGN.md §2f):
+It owns the process's only selector and four rules (DESIGN.md §2f):
 reads never block (one ``recv`` per readable event, complete frames
 delivered, a partial tail waits), sends never block (frames queue and
-drain as the kernel takes them), and timers run after an iteration's I/O.
+drain as the kernel takes them), timers run after an iteration's I/O,
+and a wait ends on time: a ``timerfd`` in the selector ends it within a
+``TICK_S`` of its deadline, where epoll alone would round it up to a
+whole millisecond.  ``wake()`` ends it from another thread.
 Accept-side handshakes wait for a newcomer's first frame in the loop too
 (``await_hello``).  Blocking ``Connection.send``/``receive`` remain for
 the dialling side of a handshake and for a last frame after a connection
@@ -13,8 +16,11 @@ leaves the loop.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import itertools
+import math
+import os
 import selectors
 import socket
 import time
@@ -23,6 +29,38 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.messages import Connection, Payload
 from repro.errors import ProtocolError
+
+# The shortest wait, and the most a wait may overrun its deadline.  Each
+# wake-up costs the process ≈20 µs of CPU on a 2-vCPU VM, so a caller
+# that polls in finer steps (the ladder's open-loop pump waits 0.1 ms at
+# a time in the last millisecond before a due send) is woken at most once
+# a tick.  Chosen on open_poisson, against p50 ≈1.0-1.1 ms with epoll
+# alone: exact deadlines read ≈0.5 ms at +20-31 % CPU per call, a 0.25 ms
+# tick 0.58-0.67 ms at +9-16 %; a third of a millisecond read ≈0.05 ms
+# more than 0.25 ms in the same runs, at a CPU cost they could not tell
+# apart.  It must stay well under 0.5 ms: a wait that epoll overruns by
+# no more than a tick is left to epoll, so a tick-long wait would then
+# last 1 ms.
+TICK_S = 0.00025
+
+# timerfd(2) arrives in the os module only with Python 3.13.
+_CLOCK_MONOTONIC = 1  # the clock time.monotonic() reads on Linux
+_TFD_TIMER_ABSTIME = 1
+
+
+class _Timespec(ctypes.Structure):
+    _fields_ = [("tv_sec", ctypes.c_long), ("tv_nsec", ctypes.c_long)]
+
+
+class _Itimerspec(ctypes.Structure):
+    _fields_ = [("it_interval", _Timespec), ("it_value", _Timespec)]
+
+
+# Both return an int and take ints and pointers, ctypes' defaults: left
+# undeclared, a call skips the argument conversion (≈0.5 µs of a wake-up).
+_libc = ctypes.CDLL(None, use_errno=True)
+_timerfd_create = _libc.timerfd_create
+_timerfd_settime = _libc.timerfd_settime
 
 
 class Timer:
@@ -63,6 +101,18 @@ class EventLoop:
         self._peers: Dict[Connection, _Peer] = {}
         self._timers: List[Tuple[float, int, Timer]] = []
         self._seq = itertools.count()  # ties run in scheduling order
+        self._timerfd = _timerfd_create(_CLOCK_MONOTONIC, os.O_NONBLOCK | os.O_CLOEXEC)
+        if self._timerfd < 0:
+            errno = ctypes.get_errno()
+            raise OSError(errno, f"timerfd_create: {os.strerror(errno)}")
+        self._expiry = _Itimerspec()  # it_interval stays zero: one-shot
+        self._expiry_ref = ctypes.byref(self._expiry)
+        # The absolute expiry the timerfd holds: 0 = none, -1 = expired.
+        self._armed_ns = 0
+        self._wakefd = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+        self._wakes = 0  # counted, not flagged: a nested run_once sees them too
+        self._selector.register(self._timerfd, selectors.EVENT_READ, self._expired)
+        self._selector.register(self._wakefd, selectors.EVENT_READ, self._on_wake)
 
     # -- registration ----------------------------------------------------
     def add_listener(
@@ -145,10 +195,21 @@ class EventLoop:
     def close(self) -> None:
         """Release the selector and every handler and timer, which hold
         the loop's owner: without this the two form a reference cycle and
-        a closed manager would linger until the next garbage collection."""
+        a closed manager would linger until the next garbage collection.
+        A forked child closes its parent's loop this way: closing shares
+        nothing back, where disarming the timerfd would."""
         self._selector.close()
         self._peers.clear()
         self._timers.clear()
+        for fd in (self._timerfd, self._wakefd):
+            if fd >= 0:
+                os.close(fd)
+        self._timerfd = self._wakefd = -1
+
+    def wake(self) -> None:
+        """End the current ``run_once`` (or the next one) at once; the only
+        method another thread may call, and only while the loop is open."""
+        os.eventfd_write(self._wakefd, 1)
 
     # -- sending ---------------------------------------------------------
     def send(
@@ -191,12 +252,24 @@ class EventLoop:
         return timer
 
     # -- driving ---------------------------------------------------------
-    def run_once(self, timeout: float) -> None:
-        """One iteration: wait up to ``timeout`` seconds (less when a
-        timer is due sooner) for I/O, handle it, then run due timers."""
-        if self._timers:
-            timeout = min(timeout, self._timers[0][0] - time.monotonic())
-        for key, mask in self._selector.select(max(0.0, timeout)):
+    def run_once(self, timeout: float) -> bool:
+        """One iteration: wait up to ``timeout`` seconds, less when a
+        timer is due sooner, for I/O, handle it, then run due timers.  A
+        wait shorter than ``TICK_S`` lasts ``TICK_S``; none ends more than
+        ``TICK_S`` after its deadline.  True when ``wake()`` ended it."""
+        now = time.monotonic()
+        deadline = now + timeout
+        if self._timers and self._timers[0][0] < deadline:
+            deadline = self._timers[0][0]
+        wait = deadline - now
+        if wait > 0.0:
+            if wait < TICK_S:
+                deadline, wait = now + TICK_S, TICK_S
+            self._arm(deadline, wait)
+        else:
+            wait = 0.0
+        wakes = self._wakes
+        for key, mask in self._selector.select(wait):
             if isinstance(key.data, _Peer):
                 self._serve(key.data, mask)
             else:
@@ -208,6 +281,40 @@ class EventLoop:
                 timer.fn()
             if timer.fn is not None and timer.interval is not None:
                 self._schedule(time.monotonic() + timer.interval, timer)
+        return self._wakes != wakes
+
+    def _arm(self, deadline: float, wait: float) -> None:
+        """Have the timerfd end a ``wait`` that epoll, which rounds its
+        timeout up to a whole millisecond, would overrun by over a tick.
+        An expiry already set for this deadline (a timer's) stays, and so
+        does a later one; an earlier one, or one that has fired, would end
+        the wait early and is cleared."""
+        expiry_ns = math.ceil(deadline * 1e9)
+        if expiry_ns == self._armed_ns:
+            return
+        if math.ceil(wait * 1e3) * 1e-3 - wait <= TICK_S:  # epoll is on time
+            if self._armed_ns == 0 or self._armed_ns > expiry_ns:
+                return
+            expiry_ns = 0  # disarm
+        self._armed_ns = expiry_ns
+        value = self._expiry.it_value
+        value.tv_sec, value.tv_nsec = divmod(expiry_ns, 1_000_000_000)
+        if _timerfd_settime(self._timerfd, _TFD_TIMER_ABSTIME, self._expiry_ref, None):
+            errno = ctypes.get_errno()
+            raise OSError(errno, f"timerfd_settime: {os.strerror(errno)}")
+
+    def _expired(self) -> None:
+        # It stays readable until it is next set or disarmed, which the
+        # next wait does: it either needs the timerfd or, finding an
+        # expiry that has passed, disarms it.
+        self._armed_ns = -1
+
+    def _on_wake(self) -> None:
+        try:
+            os.eventfd_read(self._wakefd)
+        except BlockingIOError:
+            pass  # a nested run_once already consumed this wake-up
+        self._wakes += 1
 
     def _accept(self, listener: socket.socket, on_accept) -> None:
         try:

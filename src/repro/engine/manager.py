@@ -306,7 +306,7 @@ class Manager:
         self.tracer = get_tracer("manager")
         self.placement.tracer = self.tracer
         # Live telemetry (all off by default, see the perflog/statusd
-        # docstrings): the perflog sampler ticks in _advance, warm/cold
+        # docstrings): the perflog sampler is a loop timer, warm/cold
         # classification happens at dispatch, and worker heartbeats fold
         # into per-worker gauges on every status frame.
         # The component is the manager's *name* so that N shard managers
@@ -316,6 +316,8 @@ class Manager:
         self.perflog = get_perflog(
             self.name, directory=perflog_dir, interval=perflog_interval
         )
+        if self.perflog.enabled:
+            self.loop.call_every(self.perflog.interval, self._sample_perflog)
         # context name -> {"warm": n, "cold": n}; an invocation is warm
         # when its instance has already served work (the retained-context
         # hit the paper's L3 exists for), cold on a fresh instance.
@@ -529,7 +531,8 @@ class Manager:
         return self.state.empty() and not self._completed
 
     def wait(self, timeout: float = 5.0) -> Optional[Task]:
-        """Advance the engine until a task completes or ``timeout`` passes."""
+        """Advance the engine until a task completes or ``timeout`` passes.
+        Returns None early when another thread calls ``loop.wake()``."""
         deadline = time.monotonic() + timeout
         while True:
             if self._completed:
@@ -537,7 +540,8 @@ class Manager:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return None
-            self._advance(min(remaining, 0.05))
+            if self._advance(min(remaining, 0.05)):
+                return None
 
     def wait_all(self, tasks: Iterable[Task], timeout: float = 60.0) -> List[Task]:
         """Wait until every task in ``tasks`` is DONE or FAILED."""
@@ -801,15 +805,23 @@ class Manager:
         self.close()
 
     # ----------------------------------------------------------- event loop
-    def _advance(self, timeout: float) -> None:
+    def _advance(self, timeout: float) -> bool:
+        """Dispatch, then one loop iteration; True when ``wake()`` ended it."""
         self._dispatch()
-        self.loop.run_once(timeout)
-        now = time.monotonic()
-        if self.state.take_backoff_wakeup(now):
+        return self.loop.run_once(timeout)
+
+    def _note_backoff(self, not_before: float) -> None:
+        if self.state.note_backoff(not_before):
+            self.loop.call_at(not_before, self._backoff_due)
+
+    def _backoff_due(self) -> None:
+        # A timer left behind by a gate that moved earlier finds it
+        # cleared or still ahead, and does nothing.
+        if self.state.take_backoff_wakeup(time.monotonic()):
             self.state.wake_all()  # backed-off tasks are redispatchable again
-        # One no-op call when telemetry is off; when on, the snapshot
-        # builder only runs every perflog_interval seconds.
-        self.perflog.maybe_sample(now, self._perflog_snapshot)
+
+    def _sample_perflog(self) -> None:
+        self.perflog.maybe_sample(time.monotonic(), self._perflog_snapshot)
 
     def _check_liveness(self) -> None:
         deadline = self.liveness_deadline
@@ -948,7 +960,7 @@ class Manager:
             if task.state is not TaskState.SUBMITTED:
                 continue  # cancelled tombstone
             if task.not_before > now:
-                self.state.note_backoff(task.not_before)
+                self._note_backoff(task.not_before)
                 requeue.append(task)  # still backing off after a requeue
                 continue
             self.stats["queue_scan_len"] += 1
@@ -988,7 +1000,7 @@ class Manager:
                 queue.popleft()  # cancelled tombstone
                 continue
             if head.not_before > now:
-                self.state.note_backoff(head.not_before)
+                self._note_backoff(head.not_before)
                 deferred.append(queue.popleft())
                 continue
             self.stats["queue_scan_len"] += 1
@@ -2042,7 +2054,7 @@ class Manager:
                 self.retry_backoff_max,
             )
             task.not_before = time.monotonic() + backoff
-            self.state.note_backoff(task.not_before)
+            self._note_backoff(task.not_before)
         task.state = TaskState.SUBMITTED
         self.state.enqueue(task, front=True)
         self.stats["requeued"] += 1

@@ -623,10 +623,14 @@ class Router:
         """Wait until every task reaches a terminal state."""
         wanted = list(tasks)
         deadline = time.monotonic() + timeout
+        settled = 0  # wanted[:settled] are terminal, which they stay
         while True:
-            if all(
-                t.state in (TaskState.DONE, TaskState.FAILED) for t in wanted
+            while settled < len(wanted) and wanted[settled].state in (
+                TaskState.DONE,
+                TaskState.FAILED,
             ):
+                settled += 1
+            if settled == len(wanted):
                 # Consume their completion records so wait() doesn't
                 # hand back tasks the caller already holds.
                 ids = {t.id for t in wanted}

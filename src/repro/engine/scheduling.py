@@ -530,10 +530,13 @@ class ShardState:
                 self.dirty_libraries[name] = None
 
     # -- backoff ----------------------------------------------------------
-    def note_backoff(self, not_before: float) -> None:
-        """Remember the earliest pending backoff expiry."""
+    def note_backoff(self, not_before: float) -> bool:
+        """Remember the earliest pending backoff expiry; True when this one
+        moved it earlier (the caller arms a timer for it)."""
         if not self.backoff_wakeup or not_before < self.backoff_wakeup:
             self.backoff_wakeup = not_before
+            return True
+        return False
 
     def take_backoff_wakeup(self, now: float) -> bool:
         """True (and clears the gate) when a backed-off task is due."""

@@ -102,6 +102,7 @@ class VineExecutor:
             raise DataflowError("executor is shut down")
         future: Future = Future()
         self._submissions.put((fn, args, kwargs, future))
+        self._manager.loop.wake()  # the service thread drains at once
         return future
 
     def shutdown(self) -> None:
@@ -109,6 +110,7 @@ class VineExecutor:
         if self._stop.is_set():
             return
         self._stop.set()
+        self._manager.loop.wake()
         self._thread.join(timeout=30.0)
         self._factory.stop()
         if self._owns_manager:

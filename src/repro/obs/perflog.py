@@ -6,10 +6,10 @@ waiting/running/done, workers connected, cache occupancy, ...) and an
 append-only *transaction log* of state transitions.  This module is the
 repro counterpart, layered on the PR-3 registry/tracer:
 
-- :class:`PerfLog` owns both files.  The manager calls
-  ``maybe_sample(now, build)`` once per event-loop tick; every
-  ``interval`` seconds it invokes ``build()`` (a cheap dict builder) and
-  appends the sample as one JSONL line.  ``transition()`` appends one
+- :class:`PerfLog` owns both files.  A timer on the manager's event
+  loop calls ``maybe_sample(now, build)`` every ``interval`` seconds; it
+  invokes ``build()`` (a cheap dict builder) and appends the sample as
+  one JSONL line.  ``transition()`` appends one
   transaction line per task/worker/library state change.
 - :class:`NullPerfLog` is the shared no-op twin (the ``NullTracer``
   pattern): telemetry is **off by default** and the disabled hot path is

@@ -59,14 +59,14 @@ class _SimWorker:
     env_state: str = "cold"            # cold | warming | warm
     waiting: List[InvocationSpec] = field(default_factory=list)
     libraries: List[_SimLibrary] = field(default_factory=list)
+    committed: int = 0  # slots of the libraries not yet removed
 
     def __post_init__(self) -> None:
         self.free_slots = self.slots
 
     @property
     def library_capacity_left(self) -> int:
-        committed = sum(lib.slots for lib in self.libraries if not lib.removed)
-        return self.slots - committed
+        return self.slots - self.committed
 
 
 class SimManager:
@@ -366,6 +366,7 @@ class SimManager:
         lib = _SimLibrary(uid=self._lib_uid, worker=worker, slots=slots)
         self._lib_uid += 1
         worker.libraries.append(lib)
+        worker.committed += slots
         self.trace.libraries_deployed_total += 1
         self._active_libraries += 1
         self._mgr_do(
@@ -476,6 +477,7 @@ class SimManager:
             )
             return
         lib.removed = True
+        lib.worker.committed -= lib.slots
         self.trace.libraries_removed_total += 1
         self._active_libraries -= 1
         self._active_served -= lib.served

@@ -378,12 +378,14 @@ def test_worker_status_reports_arrive():
         task.add_input(f)
         manager.submit(task)
         manager.wait_all([task], timeout=60)
+        # The first report can predate the cached input (the worker's
+        # status timer fires as soon as it starts): wait for one after it.
         deadline = time.monotonic() + 10
         status = {}
         while time.monotonic() < deadline:
             manager.wait(timeout=0.3)
             status = manager.worker_status().get("worker-0", {})
-            if status:
+            if status and status["cache"]["entries"] >= 1:
                 break
         assert status, "no status report arrived"
         assert status["cache"]["entries"] >= 1

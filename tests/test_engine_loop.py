@@ -4,14 +4,18 @@ Manager, router, worker and shard all drive ``repro.engine.loop``; what
 they rely on is pinned here once: every buffered frame is delivered
 without another wakeup, no chunking of the byte stream changes what is
 delivered, neither a slow reader nor a peer stalled mid-frame blocks the
-loop, a lost peer is reported exactly once, and timers run after the
-iteration's I/O.
+loop, a lost peer is reported exactly once, timers run after the
+iteration's I/O, and a wait ends on time: within a fraction of a
+millisecond of its deadline, at once on I/O or ``wake()``.
 """
 
 import gc
 import json
+import os
 import selectors
 import socket
+import statistics
+import threading
 import time
 import weakref
 
@@ -20,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.loop import EventLoop
+from repro.engine.manager import Manager
 from repro.engine.messages import MAX_MESSAGE, Connection
 
 
@@ -243,7 +248,105 @@ def test_call_every_repeats_until_cancelled(loop):
     assert len(ticks) == 4
 
 
+# ------------------------------------------------------------ short waits
+# epoll rounds a timeout up to a whole millisecond: a 0.3 ms wait used to
+# last ≈1.07 ms, and a timer could fire up to 1 ms late.
+
+
+def test_a_sub_millisecond_wait_ends_on_time(loop):
+    overshoot = []
+    for _ in range(50):
+        started = time.monotonic()
+        loop.run_once(0.0003)
+        overshoot.append(time.monotonic() - started - 0.0003)
+    assert min(overshoot) >= 0.0  # never early
+    assert statistics.median(overshoot) < 0.0003
+
+
+def test_a_timer_fires_on_time(loop):
+    late = []
+    for _ in range(30):
+        due = time.monotonic() + 0.0004
+        fired = []
+        loop.call_at(due, lambda: fired.append(time.monotonic()))
+        while not fired:
+            loop.run_once(1.0)
+        late.append(fired[0] - due)
+    assert statistics.median(late) < 0.0003
+
+
+def test_a_frame_during_a_short_wait_ends_it_at_once(loop, peer):
+    """I/O still wakes the loop at once: a sub-millisecond wait is not
+    slept through blind."""
+    lag = []
+    for _ in range(20):
+        sent = []
+
+        def send_soon():
+            time.sleep(0.0003)
+            sent.append(time.monotonic())
+            peer.raw.sendall(_frame({"type": "n"}))
+
+        thread = threading.Thread(target=send_soon)
+        thread.start()
+        loop.run_once(0.0009)
+        returned = time.monotonic()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        if peer.frames:  # the send may miss the window on a busy host
+            lag.append(returned - sent[0])
+        while not peer.frames:
+            loop.run_once(0.05)
+        peer.frames.clear()
+    assert len(lag) >= 10
+    assert statistics.median(lag) < 0.0003
+
+
+def test_wake_from_another_thread_ends_a_long_wait(loop):
+    loop.wake()  # a wake-up before the wait is not lost
+    started = time.monotonic()
+    assert loop.run_once(5.0) is True
+    assert time.monotonic() - started < 0.05
+    woke = []
+
+    def wake_soon():
+        time.sleep(0.01)
+        woke.append(time.monotonic())
+        loop.wake()
+
+    thread = threading.Thread(target=wake_soon)
+    thread.start()
+    assert loop.run_once(5.0) is True
+    returned = time.monotonic()
+    thread.join(5.0)
+    assert not thread.is_alive()
+    assert returned - woke[0] < 0.05
+    assert loop.run_once(0.001) is False  # consumed: the next wait is whole
+
+
+def test_manager_wait_honours_a_sub_millisecond_timeout():
+    with Manager() as manager:
+        took = []
+        for _ in range(50):
+            started = time.monotonic()
+            assert manager.wait(timeout=0.0003) is None
+            took.append(time.monotonic() - started)
+    assert statistics.median(took) < 0.0006
+
+
 # ------------------------------------------------------------------ lifetime
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_close_releases_the_selector_timerfd_and_eventfd():
+    before = _open_fds()
+    loop = EventLoop()
+    assert _open_fds() == before + 3
+    loop.close()
+    assert _open_fds() == before
+
+
 def test_close_releases_the_owner_without_a_garbage_collection():
     """Handlers and timers are bound methods of the loop's owner; a closed
     loop must drop them, or every closed Manager (and the libraries and

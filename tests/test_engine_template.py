@@ -135,6 +135,32 @@ def test_eight_deploys_fork_eight_instances_from_one_template():
             assert _children(template) == instances[-1:]
 
 
+def _loop_fds(pid: int):
+    """How many timerfds and eventfds ``pid`` holds: one of each per
+    event loop it has open."""
+    held = []
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            held.append(os.readlink(f"/proc/{pid}/fd/{fd}"))
+        except OSError:
+            continue  # closed mid-walk
+    return held.count("anon_inode:[timerfd]"), held.count("anon_inode:[eventfd]")
+
+
+def test_each_process_holds_only_its_own_loop():
+    """A forked instance closes its template's loop before it opens its
+    own."""
+    with Manager() as manager:
+        manager.install_library(manager.create_library_from_functions("fd-lib", _echo))
+        with LocalWorkerFactory(manager, count=1, cores=1) as factory:
+            assert _call(manager, "fd-lib", "_echo", 1).result == 1
+            worker = factory.procs[0].pid
+            (instance,) = find_library_pids(worker)
+            template = _stat(instance)[1]
+            for pid in (worker, template, instance):
+                assert _loop_fds(pid) == (1, 1), _cmdline(pid)
+
+
 def test_nothing_outlives_a_killed_worker():
     with Manager() as manager:
         manager.install_library(manager.create_library_from_functions("orphan-lib", _echo))

@@ -66,6 +66,21 @@ def test_l3_deploys_and_reclaims_libraries():
     assert result.trace.library_timeline[0][1] >= 1
 
 
+def test_library_capacity_left_matches_a_recount():
+    """The running per-worker count of committed library slots agrees
+    with the libraries each worker still hosts after idle reclamation."""
+    model = lnni_cost_model(library_idle_timeout=5.0)
+    sim = SimManager(lnni_workload(2000), build_fleet(5), model, ReuseLevel.L3)
+    result = sim.run()
+    assert 0 < result.trace.libraries_removed_total < len(
+        [lib for worker in sim.workers for lib in worker.libraries]
+    )  # some reclaimed, some still live
+    for worker in sim.workers:
+        live = sum(lib.slots for lib in worker.libraries if not lib.removed)
+        assert worker.committed == live
+        assert worker.library_capacity_left == worker.slots - live
+
+
 def test_l3_share_value_grows():
     result = small_run(ReuseLevel.L3, n=2000, workers=5)
     shares = [s for _, s in result.trace.share_timeline]
